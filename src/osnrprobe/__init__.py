@@ -25,8 +25,7 @@ from .fiberlink import (
     FiberParams,
     AmpParams,
     LinkConfig,
-    propagate_span,
-    amplify,
+    propagate,
     simulate_link,
     analytic_osnr,
     reference_bandwidth_hz,

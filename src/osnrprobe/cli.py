@@ -27,7 +27,16 @@ def _load_config(args) -> ExperimentConfig:
 
 def cmd_dataset(args) -> int:
     cfg = _load_config(args)
-    run_dataset(cfg, args.out, workers=args.workers)
+    rows = run_dataset(cfg, args.out, workers=args.workers, fft_workers=args.fft_workers)
+    try:
+        report, _ = estimator.cross_validate(estimator.Dataset(rows, cfg.osnr_cap_db))
+    except ValueError as exc:  # too few rows under the cap, or a degenerate grid
+        print(f"no cross-validated summary: {exc}")
+        return 0
+    print(f"cross-validated RMSE: {report.rmse_db:.3f} dB over {report.n_rows} rows "
+          f"(bias {report.bias_db:+.3f} dB, max |err| {report.max_abs_error_db:.3f} dB)")
+    for power, rmse in report.per_power_rmse_db.items():
+        print(f"  launch {power:+g} dBm: RMSE {rmse:.3f} dB")
     return 0
 
 
@@ -99,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dataset", parents=[common],
                        help="simulate the scenario grid into a feature CSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="work units run in parallel")
+    p.add_argument("--fft-workers", type=int, default=2, help="threads per FFT call")
     p.set_defaults(func=cmd_dataset)
 
     p = sub.add_parser("fit", help="fit OSNR coefficients from a dataset CSV")

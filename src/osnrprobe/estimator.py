@@ -78,6 +78,14 @@ class FeatureRow:
         return np.array([1.0, self.p_ref_db, *self.p_n_db])
 
 
+def check_probe_grid(deltas_db) -> None:
+    """Raise unless the boosts are exactly DELTA_GRID_DB, in any order."""
+    if sorted(deltas_db) != sorted(DELTA_GRID_DB):
+        raise ValueError(
+            f"probe grid incomplete: have {sorted(deltas_db)}, need {list(DELTA_GRID_DB)}"
+        )
+
+
 def build_feature_row(reports: Sequence[ApsdReport], truth_osnr_db: float,
                       meta) -> FeatureRow:
     """Assemble a row from the five probe measurements of one scenario.
@@ -91,11 +99,7 @@ def build_feature_row(reports: Sequence[ApsdReport], truth_osnr_db: float,
         if rep.delta_a_db in by_delta:
             raise ValueError(f"duplicate probe at boost {rep.delta_a_db:+g} dB")
         by_delta[rep.delta_a_db] = rep
-    missing = [d for d in DELTA_GRID_DB if d not in by_delta]
-    if missing or len(by_delta) != len(DELTA_GRID_DB):
-        raise ValueError(
-            f"probe grid incomplete: have {sorted(by_delta)}, need {list(DELTA_GRID_DB)}"
-        )
+    check_probe_grid(by_delta)
     power, spans, nf = meta
     return FeatureRow(
         p_ref_db=by_delta[DELTA_GRID_DB[0]].p_ref_db,

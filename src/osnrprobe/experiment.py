@@ -2,11 +2,15 @@
 
 A dataset run sweeps the (launch power, span count, noise figure) grid; for
 every scenario the five probe spectra are synthesized, propagated, and
-measured, producing one feature row. Scenarios sharing launch power, NF, and
-probe differ only in span count, so each (power, NF, probe) triple is
-simulated as a single chain up to the largest span count with measurements
-harvested at every requested intermediate count; per-span ASE seeding makes
-this bit-identical to simulating each span count separately.
+measured, producing one feature row. The reference waveform and the five
+probe profiles are built once per run, before any propagation, so a bad
+probe grid or an infeasible boost fails in milliseconds. Scenarios sharing
+launch power and NF differ only in span count, so each (power, NF) work unit
+writes its five probes into one (10, N) stack and drives
+`fiberlink.propagate` once up to the largest span count, measuring every
+probe at each requested intermediate count. Per-probe, per-span ASE seeding
+makes this bit-identical to simulating each probe and span count
+separately.
 """
 
 import json
@@ -21,10 +25,9 @@ from typing import Optional
 import numpy as np
 
 from . import estimator
-from .estimator import DELTA_GRID_DB, build_feature_row
+from .estimator import DELTA_GRID_DB, build_feature_row, check_probe_grid
 from .field import SampledField
-from .fiberlink import (FiberParams, LinkConfig, _amplify_inplace,
-                        _span_inplace, analytic_osnr, span_seed)
+from .fiberlink import FiberParams, LinkConfig, analytic_osnr, propagate
 from .spectrum import measure
 from .waveform import (InfeasiblePerturbationError, RegionSet, TxConfig,
                        add_tx_noise_floor, apply_perturbation, build_profile,
@@ -88,7 +91,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, source) -> "ExperimentConfig":
-        text = Path(source).read_text() if os.path.exists(str(source)) else str(source)
+        """Load from a path, or from JSON text (anything starting with '{')."""
+        text = str(source)
+        if isinstance(source, os.PathLike) or not text.lstrip().startswith("{"):
+            text = Path(source).read_text()
         doc = json.loads(text)
         version = doc.pop("schema_version", None)
         if version != SCHEMA_VERSION:
@@ -136,39 +142,47 @@ def _scenario_key(power: float, nf: float, spans: int):
     return (repr(float(power)), repr(float(nf)), int(spans))
 
 
-def _run_unit(cfg: ExperimentConfig, ip: int, inf_: int, fft_workers: int) -> list:
-    """Simulate all probe chains for one (power, NF) pair; return rows."""
+def _probe_profiles(cfg: ExperimentConfig, ref: SampledField) -> list:
+    """One profile per boost of the grid; raises before any propagation if a
+    boost is infeasible or the grid is not the one the estimator fits."""
+    regions = cfg.region_set()
+    profiles = []
+    for delta_db in cfg.delta_a_grid_db:
+        try:
+            profiles.append(build_profile(ref, regions, delta_db))
+        except InfeasiblePerturbationError as exc:
+            raise InfeasiblePerturbationError(
+                f"every scenario (power={list(cfg.powers_dbm)} dBm, "
+                f"nf={list(cfg.nf_dbs)} dB) delta_A={delta_db:+g} dB: {exc}") from exc
+    check_probe_grid(cfg.delta_a_grid_db)
+    return profiles
+
+
+def _run_unit(cfg: ExperimentConfig, ip: int, inf_: int, ref: SampledField,
+              profiles: list, fft_workers: int) -> list:
+    """Simulate all probes of one (power, NF) pair as one stack; return rows."""
     power = cfg.powers_dbm[ip]
     nf = cfg.nf_dbs[inf_]
     regions = cfg.region_set()
-    ref = generate_reference(cfg.tx)
-    max_spans = max(cfg.spans)
-    wanted = set(cfg.spans)
-    reports = {spans: [] for spans in cfg.spans}
-    for idelta, delta_db in enumerate(cfg.delta_a_grid_db):
-        try:
-            profile = build_profile(ref, regions, delta_db)
-        except InfeasiblePerturbationError as exc:
-            raise InfeasiblePerturbationError(
-                f"scenario power={power:+g} dBm nf={nf:g} dB "
-                f"delta_A={delta_db:+g} dB: {exc}") from exc
+    link = LinkConfig(cfg.fiber, max(cfg.spans), power, nf)
+    stack = np.empty((2 * len(profiles), len(ref)), cfg.dtype)
+    for idelta, profile in enumerate(profiles):
         tx = add_tx_noise_floor(apply_perturbation(ref, profile), cfg.tx,
                                 _nfl_seed(cfg, ip, inf_, idelta))
-        link = LinkConfig(cfg.fiber, max_spans, power, nf,
-                          ase_seed=_chain_ase_seed(cfg, ip, inf_, idelta))
-        mat = tx.as_matrix().astype(cfg.dtype)
-        mat *= mat.real.dtype.type(math.sqrt(link.launch_power_w / tx.total_power()))
-        amp = link.amp
-        for k in range(max_spans):
-            _span_inplace(mat, tx.sample_rate, link.center_freq, cfg.fiber, fft_workers)
-            _amplify_inplace(mat, tx.sample_rate, amp,
-                             np.random.default_rng(span_seed(link, k)))
-            if (k + 1) in wanted:
-                fld = SampledField(mat[0].astype(complex), mat[1].astype(complex),
-                                   tx.sample_rate, link.center_freq)
-                reports[k + 1].append(measure(
-                    fld, regions, delta_db,
-                    scenario=f"p{power:+g}dBm_nf{nf:g}dB_{k + 1}spans"))
+        pair = stack[2 * idelta:2 * idelta + 2]
+        pair[0], pair[1] = tx.samples_x, tx.samples_y
+        pair *= pair.real.dtype.type(math.sqrt(link.launch_power_w / tx.total_power()))
+    ase_seeds = [_chain_ase_seed(cfg, ip, inf_, idelta) for idelta in range(len(profiles))]
+    reports = {spans: [] for spans in cfg.spans}
+    for k, _ in propagate(stack, ref.sample_rate, cfg.spans, fiber=cfg.fiber,
+                          amp=link.amp, ase_seeds=ase_seeds,
+                          carrier_hz=link.center_freq, workers=fft_workers):
+        for idelta, delta_db in enumerate(cfg.delta_a_grid_db):
+            fld = SampledField(stack[2 * idelta].astype(complex),
+                               stack[2 * idelta + 1].astype(complex),
+                               ref.sample_rate, link.center_freq)
+            reports[k].append(measure(fld, regions, delta_db,
+                                      scenario=f"p{power:+g}dBm_nf{nf:g}dB_{k}spans"))
     rows = []
     for spans in cfg.spans:
         truth = analytic_osnr(LinkConfig(cfg.fiber, spans, power, nf))
@@ -185,6 +199,8 @@ def run_dataset(cfg: ExperimentConfig, out_path, workers: int = 1,
     identical file an uninterrupted run would have produced.
     """
     out_path = Path(out_path)
+    ref = generate_reference(cfg.tx)
+    profiles = _probe_profiles(cfg, ref)
     grid_keys = {_scenario_key(p, nf, s) for p in cfg.powers_dbm
                  for nf in cfg.nf_dbs for s in cfg.spans}
     rows_by_key = {}
@@ -226,12 +242,13 @@ def run_dataset(cfg: ExperimentConfig, out_path, workers: int = 1,
     if workers <= 1:
         for n, (ip, inf_) in enumerate(units, 1):
             t0 = time.monotonic()
-            store(_run_unit(cfg, ip, inf_, fft_workers))
+            store(_run_unit(cfg, ip, inf_, ref, profiles, fft_workers))
             log(f"[{n}/{len(units)}] power={cfg.powers_dbm[ip]:+g} dBm "
                 f"nf={cfg.nf_dbs[inf_]:g} dB done in {time.monotonic() - t0:.1f}s")
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_run_unit, cfg, ip, inf_, fft_workers): (ip, inf_)
+            futures = {pool.submit(_run_unit, cfg, ip, inf_, ref, profiles,
+                                   fft_workers): (ip, inf_)
                        for ip, inf_ in units}
             for n, fut in enumerate(as_completed(futures), 1):
                 ip, inf_ = futures[fut]

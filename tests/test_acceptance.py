@@ -2,9 +2,9 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see one PASS line per
 criterion. The desk-scale end-to-end criterion needs the full dataset in
-data/desk_dataset.csv (a few hours to regenerate; see
-scripts/run_desk_dataset.py) and is skipped when the file is absent unless
-OSNRPROBE_RUN_DESK=1 forces generation in place.
+data/desk_dataset.csv (a few hours to regenerate with
+`osnrprobe dataset --preset desk`) and is skipped when the file is absent
+unless OSNRPROBE_RUN_DESK=1 forces generation in place.
 """
 
 import math
@@ -21,10 +21,8 @@ from osnrprobe.fiberlink import (
     AmpParams,
     FiberParams,
     LinkConfig,
-    _span_inplace,
-    amplify,
     analytic_osnr,
-    propagate_span,
+    propagate,
     reference_bandwidth_hz,
     simulate_link,
 )
@@ -47,6 +45,13 @@ def report(name, detail):
     print(f"ACCEPTANCE {name}: PASS ({detail})")
 
 
+def bare_fiber(fld, fiber):
+    """One bare fiber span (no amplifier) through the engine."""
+    stack = fld.as_matrix()
+    list(propagate(stack, fld.sample_rate, (1,), fiber=fiber, carrier_hz=fld.center_freq))
+    return SampledField(*stack, fld.sample_rate, fld.center_freq)
+
+
 class TestPhysicsOracles:
     def test_c1_dispersion_only_gaussian(self):
         n, fs, t0_pulse = 8192, 2e12, 10e-12
@@ -55,7 +60,7 @@ class TestPhysicsOracles:
                            np.zeros(n, complex), fs)
         fiber = FiberParams(dispersion_D=16.7, gamma=0.0, alpha_db_per_km=0.0,
                             span_length_km=25.0, step_km=1.0)
-        out = propagate_span(fld, fiber)
+        out = bare_fiber(fld, fiber)
 
         def rms(x):
             p = np.abs(x) ** 2
@@ -83,7 +88,7 @@ class TestPhysicsOracles:
                           np.zeros(2048, complex), 10e9)
         fiber = FiberParams(dispersion_D=0.0, gamma=1.3, alpha_db_per_km=0.0,
                             span_length_km=length, step_km=0.1)
-        out = propagate_span(cw, fiber)
+        out = bare_fiber(cw, fiber)
         expected = -(8.0 / 9.0) * 1.3 * power * length
         measured = float(np.angle(out.samples_x[0] / cw.samples_x[0]))
         assert measured == pytest.approx(expected, rel=0.005)
@@ -96,7 +101,7 @@ class TestPhysicsOracles:
                            0.03 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)),
                            40e9)
         fiber = FiberParams(alpha_db_per_km=0.0, span_length_km=10.0, step_km=0.5)
-        out = propagate_span(fld, fiber)
+        out = bare_fiber(fld, fiber)
         rel = abs(out.total_power() - fld.total_power()) / fld.total_power()
         assert rel <= 1e-9
         report("3 lossless span", f"relative power change {rel:.2e}")
@@ -105,7 +110,9 @@ class TestPhysicsOracles:
         amp = AmpParams(gain_db=20.0, nf_db=4.5)
         expected = (10**0.45 / 2) * H_PLANCK * 193.4e12 * 99.0
         zero = SampledField(np.zeros(2**16, complex), np.zeros(2**16, complex), 170.4e9)
-        noise = amplify(zero, amp, 42)
+        stack = zero.as_matrix()
+        list(propagate(stack, zero.sample_rate, (1,), amp=amp, ase_seeds=(42,)))
+        noise = SampledField(*stack, zero.sample_rate)
         dev_db = []
         for pol in (noise.samples_x, noise.samples_y):
             measured = np.mean(np.abs(pol) ** 2) / 170.4e9
@@ -182,18 +189,20 @@ class TestMethodProperties:
         pert = apply_perturbation(ref, build_profile(ref, regions14, 10.0))
         fiber14 = FiberParams(step_km=0.1)
         span_list = (1, 5, 10)
+        powers = (-2.0, 2.0, 6.0)
         notch = {}
-        for power in (-2.0, 2.0, 6.0):
-            mat = pert.as_matrix().astype(np.complex64)
-            link = LinkConfig(fiber14, max(span_list), power, None)
-            mat *= np.float32(math.sqrt(link.launch_power_w / pert.total_power()))
-            gain = np.float32(math.sqrt(link.amp.gain_linear))
-            for k in range(1, max(span_list) + 1):
-                _span_inplace(mat, fs, pert.center_freq, fiber14)
-                mat *= gain
-                if k in span_list:
-                    fld = SampledField(mat[0].astype(complex), mat[1].astype(complex), fs)
-                    notch[(power, k)] = measure(fld, regions14, 10.0).p_n_db
+        # all three launch powers travel as one noiseless stack
+        links = [LinkConfig(fiber14, max(span_list), power, None) for power in powers]
+        stack = np.concatenate([pert.as_matrix().astype(np.complex64)] * len(powers))
+        for i, link in enumerate(links):
+            stack[2 * i:2 * i + 2] *= np.float32(
+                math.sqrt(link.launch_power_w / pert.total_power()))
+        for k, _ in propagate(stack, fs, span_list, fiber=fiber14, amp=links[0].amp,
+                              carrier_hz=pert.center_freq):
+            for i, power in enumerate(powers):
+                fld = SampledField(stack[2 * i].astype(complex),
+                                   stack[2 * i + 1].astype(complex), fs)
+                notch[(power, k)] = measure(fld, regions14, 10.0).p_n_db
         for power in (-2.0, 2.0, 6.0):
             seq = [notch[(power, k)] for k in span_list]
             assert seq[0] < seq[1] < seq[2]
@@ -265,8 +274,8 @@ class TestDeskScaleReproduction:
                 experiment.run_dataset(cfg, DESK_DATASET)
             else:
                 pytest.skip(
-                    "desk dataset missing; generate with scripts/run_desk_dataset.py "
-                    "(hours) or set OSNRPROBE_RUN_DESK=1")
+                    "desk dataset missing; generate with `osnrprobe dataset --preset "
+                    "desk --out data/desk_dataset.csv` (hours) or set OSNRPROBE_RUN_DESK=1")
 
         dataset = Dataset(estimator.load_rows(DESK_DATASET), cfg.osnr_cap_db)
         pooled, _ = estimator.cross_validate(dataset)

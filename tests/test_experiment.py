@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from osnrprobe import cli, estimator
+from osnrprobe import cli, estimator, experiment
 from osnrprobe.estimator import DELTA_GRID_DB
 from osnrprobe.experiment import (
     ExperimentConfig,
@@ -46,6 +46,12 @@ class TestConfig:
         doc["schema_version"] = 99
         with pytest.raises(ValueError, match="schema_version"):
             ExperimentConfig.from_json(json.dumps(doc))
+
+    def test_missing_file_is_not_json_text(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            ExperimentConfig.from_json(tmp_path / "missing.json")
+        with pytest.raises(FileNotFoundError):
+            ExperimentConfig.from_json(str(tmp_path / "missing.json"))
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -122,6 +128,18 @@ class TestRunDataset:
         with pytest.raises(ValueError, match="incomplete"):
             run_dataset(cfg, tmp_path / "rows.csv", log=lambda *_: None)
 
+    def test_bad_probe_grid_fails_before_propagation(self, tmp_path, monkeypatch):
+        def no_propagation(*args, **kwargs):
+            raise AssertionError("a span was propagated before the config error")
+
+        monkeypatch.setattr(experiment, "propagate", no_propagation)
+        with pytest.raises(InfeasiblePerturbationError, match="power=.*delta_A=\\+30"):
+            run_dataset(tiny_config(delta_a_grid_db=(-10.0, -5.0, 0.0, 5.0, 30.0)),
+                        tmp_path / "a.csv", log=lambda *_: None)
+        with pytest.raises(ValueError, match="incomplete"):
+            run_dataset(tiny_config(delta_a_grid_db=(0.0,)), tmp_path / "b.csv",
+                        log=lambda *_: None)
+
 
 class TestCli:
     def test_margin_command(self, tmp_path):
@@ -151,6 +169,30 @@ class TestCli:
                          str(coeffs_path), "--osnr-cap-db", "inf",
                          "--report", str(report_path)]) == 0
         assert report_path.read_text().startswith("truth_osnr_db,")
+
+    def test_dataset_command_prints_cv_summary(self, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(1)
+        coeffs_true = np.array([40.0, 0.8, -0.5, 0.3, -0.2, 0.15, 0.55])
+        rows = []
+        for i in range(40):
+            feats = np.array([1.0, -135 + rng.normal(0, 2), *(-150 + rng.normal(0, 3, 5))])
+            rows.append(estimator.FeatureRow(
+                feats[1], tuple(feats[2:]), min(float(feats @ coeffs_true), 29.0),
+                float(-2 + 2 * (i % 5)), 1 + (i % 6) * 5, 4.5 + (i % 4)))
+        calls = []
+
+        def fake_run(cfg, out, workers, fft_workers):
+            calls.append((workers, fft_workers))
+            return rows
+
+        monkeypatch.setattr(cli, "run_dataset", fake_run)
+        assert cli.main(["dataset", "--out", str(tmp_path / "rows.csv"),
+                         "--fft-workers", "1"]) == 0
+        assert calls == [(1, 1)]
+        out = capsys.readouterr().out
+        assert "cross-validated RMSE:" in out
+        for power in ("-2", "+0", "+2", "+4", "+6"):
+            assert f"launch {power} dBm: RMSE" in out
 
     def test_dataset_and_psd_commands(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from osnrprobe.estimator import DELTA_GRID_DB
 from osnrprobe.field import SampledField
 from osnrprobe.fiberlink import (
     AmpParams,
     FiberParams,
     LinkConfig,
-    amplify,
     analytic_osnr,
-    propagate_span,
+    propagate,
     reference_bandwidth_hz,
     simulate_link,
 )
@@ -28,12 +28,26 @@ def white_field(n=3072, fs=40e9, power=1e-3, seed=0):
                         scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n)), fs)
 
 
+def bare_fiber(fld, fiber):
+    """One bare fiber span (no amplifier) through the engine."""
+    stack = fld.as_matrix()
+    list(propagate(stack, fld.sample_rate, (1,), fiber=fiber, carrier_hz=fld.center_freq))
+    return SampledField(*stack, fld.sample_rate, fld.center_freq)
+
+
+def bare_amp(fld, amp, seed):
+    """One bare amplifier (no fiber) through the engine."""
+    stack = fld.as_matrix()
+    list(propagate(stack, fld.sample_rate, (1,), amp=amp, ase_seeds=(seed,)))
+    return SampledField(*stack, fld.sample_rate, fld.center_freq)
+
+
 class TestPropagateSpan:
     def test_linear_lossless_is_unitary(self):
         fld = white_field()
         fiber = FiberParams(dispersion_D=16.7, gamma=0.0, alpha_db_per_km=0.0,
                             span_length_km=100.0, step_km=1.0)
-        out = propagate_span(fld, fiber)
+        out = bare_fiber(fld, fiber)
         assert out.total_power() == pytest.approx(fld.total_power(), rel=1e-9)
         mag_in = np.abs(np.fft.fft(fld.samples_x))
         mag_out = np.abs(np.fft.fft(out.samples_x))
@@ -47,7 +61,7 @@ class TestPropagateSpan:
                           np.zeros(2048, complex), 10e9)
         fiber = FiberParams(dispersion_D=0.0, gamma=1.3, alpha_db_per_km=0.0,
                             span_length_km=length, step_km=0.1)
-        out = propagate_span(cw, fiber)
+        out = bare_fiber(cw, fiber)
         expected = -(8.0 / 9.0) * 1.3 * power * length
         measured = float(np.angle(out.samples_x[0] / cw.samples_x[0]))
         assert measured == pytest.approx(expected, rel=0.005)
@@ -61,7 +75,7 @@ class TestPropagateSpan:
                             span_length_km=length, step_km=0.05)
         a = fiber.alpha_np_per_km
         expected = -(8.0 / 9.0) * 1.3 * power * (1.0 - math.exp(-a * length)) / a
-        out = propagate_span(cw, fiber)
+        out = bare_fiber(cw, fiber)
         assert float(np.angle(out.samples_x[0])) == pytest.approx(expected, rel=0.005)
 
     def test_gaussian_dispersion_broadening(self):
@@ -72,7 +86,7 @@ class TestPropagateSpan:
         fld = SampledField(pulse, np.zeros_like(pulse), fs)
         fiber = FiberParams(dispersion_D=16.7, gamma=0.0, alpha_db_per_km=0.0,
                             span_length_km=20.0, step_km=2.0)
-        out = propagate_span(fld, fiber)
+        out = bare_fiber(fld, fiber)
 
         def rms(x):
             p = np.abs(x) ** 2
@@ -86,7 +100,7 @@ class TestPropagateSpan:
     def test_loss_matches_span_budget(self):
         fld = white_field(power=1e-3)
         fiber = FiberParams(gamma=0.0, step_km=1.0)
-        out = propagate_span(fld, fiber)
+        out = bare_fiber(fld, fiber)
         loss_db = 10 * math.log10(out.total_power() / fld.total_power())
         assert loss_db == pytest.approx(-20.0, abs=1e-9)
 
@@ -95,13 +109,13 @@ class TestPropagateSpan:
         fiber = FiberParams(dispersion_D=0.0, gamma=1.3, alpha_db_per_km=0.0,
                             span_length_km=1.0, step_km=0.5)
         with pytest.warns(RuntimeWarning, match="nonlinear phase"):
-            propagate_span(cw, fiber)
+            bare_fiber(cw, fiber)
 
 
 class TestAmplify:
     def test_noiseless_pure_gain(self):
         fld = white_field()
-        out = amplify(fld, AmpParams(gain_db=20.0, nf_db=None), 0)
+        out = bare_amp(fld, AmpParams(gain_db=20.0, nf_db=None), 0)
         assert out.total_power() == pytest.approx(100.0 * fld.total_power(), rel=1e-12)
 
     def test_ase_density_matches_formula(self):
@@ -111,7 +125,7 @@ class TestAmplify:
         assert expected == pytest.approx(1.7878e-17, rel=1e-4)
         assert amp.ase_psd_per_pol() == pytest.approx(expected, rel=1e-12)
         zero = SampledField(np.zeros(2**16, complex), np.zeros(2**16, complex), 170.4e9)
-        noise = amplify(zero, amp, 42)
+        noise = bare_amp(zero, amp, 42)
         for pol in (noise.samples_x, noise.samples_y):
             measured = np.mean(np.abs(pol) ** 2) / 170.4e9
             assert abs(10 * math.log10(measured / expected)) <= 0.1
@@ -119,8 +133,8 @@ class TestAmplify:
     def test_seeds_independent_same_power(self):
         zero = SampledField(np.zeros(2**16, complex), np.zeros(2**16, complex), 170.4e9)
         amp = AmpParams(gain_db=20.0, nf_db=4.5)
-        a = amplify(zero, amp, 1)
-        b = amplify(zero, amp, 2)
+        a = bare_amp(zero, amp, 1)
+        b = bare_amp(zero, amp, 2)
         assert not np.array_equal(a.samples_x, b.samples_x)
         corr = np.corrcoef(np.abs(a.samples_x) ** 2, np.abs(b.samples_x) ** 2)[0, 1]
         assert abs(corr) < 0.05
@@ -129,6 +143,38 @@ class TestAmplify:
     def test_quantum_limit_enforced(self):
         with pytest.raises(ValueError, match="quantum"):
             AmpParams(gain_db=20.0, nf_db=2.0)
+
+
+class TestBatchedEngine:
+    def test_stack_matches_fields_run_alone(self, reference, regions):
+        # the five probes of a unit share every FFT, yet each one's bytes at
+        # every tap equal those of the same probe propagated alone
+        fiber = FiberParams(span_length_km=2.0, step_km=0.5)
+        amp = LinkConfig(fiber, 2, 6.0, 4.5).amp
+        scale = np.float32(math.sqrt(4e-3))
+        probes = [scale * apply_perturbation(reference, build_profile(reference, regions, d))
+                  .as_matrix().astype(np.complex64) for d in DELTA_GRID_DB]
+        seeds = [101, 202, 303, 404, 505]
+        taps = (1, 2)
+
+        def run(stack, ase_seeds):
+            return {k: out.copy() for k, out in propagate(
+                stack, reference.sample_rate, taps, fiber=fiber, amp=amp,
+                ase_seeds=ase_seeds)}
+
+        batched = run(np.concatenate(probes), seeds)
+        assert sorted(batched) == list(taps)
+        for i, probe in enumerate(probes):
+            alone = run(probe.copy(), seeds[i:i + 1])
+            for k in taps:
+                assert np.array_equal(batched[k][2 * i:2 * i + 2], alone[k])
+        assert not np.array_equal(batched[2][:2], probes[0])
+
+    def test_rejects_missing_ase_seed(self, reference):
+        stack = np.zeros((4, len(reference)), np.complex64)
+        amp = AmpParams(gain_db=20.0, nf_db=4.5)
+        with pytest.raises(ValueError, match="one ASE seed per field"):
+            list(propagate(stack, reference.sample_rate, (1,), amp=amp, ase_seeds=(1,)))
 
 
 class TestSimulateLink:
@@ -207,7 +253,7 @@ class TestInvariants:
         fld = white_field(n=1536, power=2e-3, seed=seed)
         fiber = FiberParams(gamma=gamma, alpha_db_per_km=0.0,
                             span_length_km=5.0, step_km=0.5)
-        out = propagate_span(fld, fiber)
+        out = bare_fiber(fld, fiber)
         assert out.total_power() == pytest.approx(fld.total_power(), rel=1e-9)
 
     def test_linear_superposition(self):
@@ -216,9 +262,9 @@ class TestInvariants:
         fiber = FiberParams(gamma=0.0, step_km=5.0)
         both = SampledField(a.samples_x + b.samples_x, a.samples_y + b.samples_y,
                             a.sample_rate)
-        out_sum = propagate_span(both, fiber)
-        pa = propagate_span(a, fiber)
-        pb = propagate_span(b, fiber)
+        out_sum = bare_fiber(both, fiber)
+        pa = bare_fiber(a, fiber)
+        pb = bare_fiber(b, fiber)
         recombined = pa.samples_x + pb.samples_x
         assert np.max(np.abs(out_sum.samples_x - recombined)) <= 1e-9 * np.max(
             np.abs(recombined))
