@@ -29,7 +29,7 @@ def cmd_dataset(args) -> int:
     cfg = _load_config(args)
     rows = run_dataset(cfg, args.out, workers=args.workers, fft_workers=args.fft_workers)
     try:
-        report, _ = estimator.cross_validate(estimator.Dataset(rows, cfg.osnr_cap_db))
+        report, _ = estimator.cross_validate(estimator.Dataset(rows))
     except ValueError as exc:  # too few rows under the cap, or a degenerate grid
         print(f"no cross-validated summary: {exc}")
         return 0
@@ -67,6 +67,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_margin(args) -> int:
+    if not args.snr_step_db > 0 or args.snr_max_db < args.snr_min_db:
+        raise ValueError("need --snr-step-db > 0 and --snr-max-db >= --snr-min-db, got "
+                         f"step {args.snr_step_db:g}, {args.snr_min_db:g}..{args.snr_max_db:g}")
     snr_grid = np.arange(args.snr_min_db, args.snr_max_db + 1e-9, args.snr_step_db)
     rows = margin.margin_curve(
         args.baud_rate,

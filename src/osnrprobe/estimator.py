@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -78,14 +78,6 @@ class FeatureRow:
         return np.array([1.0, self.p_ref_db, *self.p_n_db])
 
 
-def check_probe_grid(deltas_db) -> None:
-    """Raise unless the boosts are exactly DELTA_GRID_DB, in any order."""
-    if sorted(deltas_db) != sorted(DELTA_GRID_DB):
-        raise ValueError(
-            f"probe grid incomplete: have {sorted(deltas_db)}, need {list(DELTA_GRID_DB)}"
-        )
-
-
 def build_feature_row(reports: Sequence[ApsdReport], truth_osnr_db: float,
                       meta) -> FeatureRow:
     """Assemble a row from the five probe measurements of one scenario.
@@ -99,7 +91,10 @@ def build_feature_row(reports: Sequence[ApsdReport], truth_osnr_db: float,
         if rep.delta_a_db in by_delta:
             raise ValueError(f"duplicate probe at boost {rep.delta_a_db:+g} dB")
         by_delta[rep.delta_a_db] = rep
-    check_probe_grid(by_delta)
+    if sorted(by_delta) != sorted(DELTA_GRID_DB):
+        raise ValueError(
+            f"probe grid incomplete: have {sorted(by_delta)}, need {list(DELTA_GRID_DB)}"
+        )
     power, spans, nf = meta
     return FeatureRow(
         p_ref_db=by_delta[DELTA_GRID_DB[0]].p_ref_db,
@@ -136,7 +131,7 @@ class FitCoefficients:
 
 @dataclass
 class Dataset:
-    """Feature rows plus an optional train/test split (index arrays into rows).
+    """Feature rows and the OSNR cap that selects the ones fitted and scored.
 
     Rows whose ground truth exceeds the OSNR cap take no part in fitting or
     scoring; at very high OSNR the notch bottoms out on the transmitter noise
@@ -145,26 +140,9 @@ class Dataset:
 
     rows: list
     osnr_cap_db: float = DEFAULT_OSNR_CAP_DB
-    train_idx: Optional[np.ndarray] = None
-    test_idx: Optional[np.ndarray] = None
 
-    def __post_init__(self):
-        if self.train_idx is not None and self.test_idx is not None:
-            if set(map(int, self.train_idx)) & set(map(int, self.test_idx)):
-                raise ValueError("train and test splits overlap")
-
-    def capped(self, idx=None) -> list:
-        pool = self.rows if idx is None else [self.rows[i] for i in idx]
-        return [r for r in pool if r.truth_osnr_db <= self.osnr_cap_db]
-
-    def training_rows(self) -> list:
-        return self.capped(self.train_idx)
-
-    def test_rows(self) -> list:
-        return self.capped(self.test_idx)
-
-    def to_csv(self, path) -> None:
-        save_rows(self.rows, path)
+    def capped(self) -> list:
+        return [r for r in self.rows if r.truth_osnr_db <= self.osnr_cap_db]
 
     @classmethod
     def from_csv(cls, path, osnr_cap_db: float = DEFAULT_OSNR_CAP_DB) -> "Dataset":
@@ -211,13 +189,13 @@ def _design(rows: Sequence[FeatureRow]):
 
 
 def fit_least_squares(data: Dataset) -> FitCoefficients:
-    """Fit k0..k6 on the training rows by orthogonal decomposition.
+    """Fit k0..k6 on the capped rows by orthogonal decomposition.
 
     Rank deficiency (for example a linear-regime dataset where every notch
     APSD sits on the same floor) raises RankDeficientError naming the
     dependent columns instead of silently returning one of many minimizers.
     """
-    rows = data.training_rows()
+    rows = data.capped()
     if len(rows) < 7:
         raise ValueError(f"need >= 7 training rows under the cap, have {len(rows)}")
     x, y = _design(rows)
@@ -265,30 +243,30 @@ class EvalReport:
         }
 
 
-def evaluate(data: Dataset, coeffs: FitCoefficients) -> EvalReport:
-    """Score predictions on the test rows (all capped rows if no split)."""
-    rows = data.test_rows()
-    if not rows:
-        raise ValueError("no test rows under the OSNR cap")
-    errors = []
-    records = []
+def _report(records: list) -> EvalReport:
+    """Error statistics over (truth, predicted, power, spans, NF) records."""
+    errors = np.array([pred - truth for truth, pred, *_ in records])
     by_power = {}
-    for r in rows:
-        pred = predict_osnr(coeffs, r)
-        err = pred - r.truth_osnr_db
-        errors.append(err)
-        records.append((r.truth_osnr_db, pred, r.launch_power_dbm, r.n_spans, r.nf_db))
-        by_power.setdefault(r.launch_power_dbm, []).append(err)
-    errors = np.array(errors)
+    for rec, err in zip(records, errors):
+        by_power.setdefault(rec[2], []).append(err)
     return EvalReport(
         rmse_db=float(np.sqrt(np.mean(errors**2))),
         bias_db=float(np.mean(errors)),
         max_abs_error_db=float(np.max(np.abs(errors))),
-        n_rows=len(rows),
+        n_rows=len(records),
         per_power_rmse_db={p: float(np.sqrt(np.mean(np.array(e) ** 2)))
                            for p, e in sorted(by_power.items())},
         records=records,
     )
+
+
+def evaluate(data: Dataset, coeffs: FitCoefficients) -> EvalReport:
+    """Score predictions on the capped rows."""
+    rows = data.capped()
+    if not rows:
+        raise ValueError("no test rows under the OSNR cap")
+    return _report([(r.truth_osnr_db, predict_osnr(coeffs, r), r.launch_power_dbm,
+                     r.n_spans, r.nf_db) for r in rows])
 
 
 def kfold_by_spans(dataset: Dataset, n_folds: int = 5, seed: int = 0):
@@ -297,6 +275,8 @@ def kfold_by_spans(dataset: Dataset, n_folds: int = 5, seed: int = 0):
     Yields (train_idx, test_idx) pairs covering every row exactly once on
     the test side.
     """
+    if n_folds < 2:
+        raise ValueError(f"need n_folds >= 2 to hold rows out, got {n_folds}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xF01D)))
     by_spans = {}
     for i, row in enumerate(dataset.rows):
@@ -316,25 +296,13 @@ def kfold_by_spans(dataset: Dataset, n_folds: int = 5, seed: int = 0):
 def cross_validate(dataset: Dataset, n_folds: int = 5, seed: int = 0):
     """Held-out evaluation: fit on each fold's complement, score the fold,
     pool residuals. Returns (EvalReport, list of per-fold coefficients)."""
-    all_records = []
+    def part(idx):
+        return Dataset([dataset.rows[i] for i in idx], dataset.osnr_cap_db)
+
+    records = []
     all_coeffs = []
     for train, test in kfold_by_spans(dataset, n_folds, seed):
-        fold = Dataset(dataset.rows, dataset.osnr_cap_db, train, test)
-        coeffs = fit_least_squares(fold)
+        coeffs = fit_least_squares(part(train))
         all_coeffs.append(coeffs)
-        report = evaluate(fold, coeffs)
-        all_records.extend(report.records)
-    errors = np.array([pred - truth for truth, pred, *_ in all_records])
-    by_power = {}
-    for truth, pred, power, *_ in all_records:
-        by_power.setdefault(power, []).append(pred - truth)
-    pooled = EvalReport(
-        rmse_db=float(np.sqrt(np.mean(errors**2))),
-        bias_db=float(np.mean(errors)),
-        max_abs_error_db=float(np.max(np.abs(errors))),
-        n_rows=len(all_records),
-        per_power_rmse_db={p: float(np.sqrt(np.mean(np.array(e) ** 2)))
-                           for p, e in sorted(by_power.items())},
-        records=all_records,
-    )
-    return pooled, all_coeffs
+        records += evaluate(part(test), coeffs).records
+    return _report(records), all_coeffs

@@ -3,14 +3,14 @@
 A dataset run sweeps the (launch power, span count, noise figure) grid; for
 every scenario the five probe spectra are synthesized, propagated, and
 measured, producing one feature row. The reference waveform and the five
-probe profiles are built once per run, before any propagation, so a bad
-probe grid or an infeasible boost fails in milliseconds. Scenarios sharing
-launch power and NF differ only in span count, so each (power, NF) work unit
-writes its five probes into one (10, N) stack and drives
-`fiberlink.propagate` once up to the largest span count, measuring every
-probe at each requested intermediate count. Per-probe, per-span ASE seeding
-makes this bit-identical to simulating each probe and span count
-separately.
+probe profiles (one per boost of `estimator.DELTA_GRID_DB`) are built once
+per run, before any propagation, so an infeasible boost fails in
+milliseconds. Scenarios sharing launch power and NF differ only in span
+count, so each (power, NF) work unit writes its five probes into one
+(10, N) stack and drives `fiberlink.propagate` once up to the largest span
+count, measuring every probe at each requested intermediate count.
+Per-probe, per-span ASE seeding makes this bit-identical to simulating
+each probe and span count separately.
 """
 
 import json
@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import estimator
-from .estimator import DELTA_GRID_DB, build_feature_row, check_probe_grid
+from .estimator import DELTA_GRID_DB, build_feature_row
 from .field import SampledField
 from .fiberlink import FiberParams, LinkConfig, analytic_osnr, propagate
 from .spectrum import measure
@@ -33,30 +33,29 @@ from .waveform import (InfeasiblePerturbationError, RegionSet, TxConfig,
                        add_tx_noise_floor, apply_perturbation, build_profile,
                        default_regions, generate_reference)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass
 class ExperimentConfig:
-    """Everything a dataset run needs, JSON round-trippable."""
+    """Everything a dataset run needs, JSON round-trippable. Every field
+    changes the simulated rows; the probe grid is `DELTA_GRID_DB` and the
+    OSNR cap is the estimator's, set when fitting."""
 
     tx: TxConfig = field(default_factory=TxConfig)
     fiber: FiberParams = field(default_factory=FiberParams)
     powers_dbm: tuple = (-2.0, 0.0, 2.0, 4.0, 6.0)
     spans: tuple = tuple(range(1, 31))
     nf_dbs: tuple = (4.5, 5.5, 6.5, 7.5)
-    delta_a_grid_db: tuple = DELTA_GRID_DB
     regions: Optional[RegionSet] = None   # default probe geometry when None
     seed: int = 1234
     precision: str = "double"             # propagation dtype: "single" | "double"
-    osnr_cap_db: float = 30.0
 
     def __post_init__(self):
         self.powers_dbm = tuple(float(p) for p in self.powers_dbm)
         self.spans = tuple(int(s) for s in self.spans)
         self.nf_dbs = tuple(float(v) for v in self.nf_dbs)
-        self.delta_a_grid_db = tuple(float(d) for d in self.delta_a_grid_db)
-        if not (self.powers_dbm and self.spans and self.nf_dbs and self.delta_a_grid_db):
+        if not (self.powers_dbm and self.spans and self.nf_dbs):
             raise ValueError("all scenario grids must be non-empty")
         if min(self.spans) < 1:
             raise ValueError("span counts must be >= 1")
@@ -78,11 +77,9 @@ class ExperimentConfig:
             "powers_dbm": list(self.powers_dbm),
             "spans": list(self.spans),
             "nf_dbs": list(self.nf_dbs),
-            "delta_a_grid_db": list(self.delta_a_grid_db),
             "regions": asdict(self.regions) if self.regions is not None else None,
             "seed": self.seed,
             "precision": self.precision,
-            "osnr_cap_db": self.osnr_cap_db,
         }
         text = json.dumps(doc, indent=2) + "\n"
         if path is not None:
@@ -143,18 +140,17 @@ def _scenario_key(power: float, nf: float, spans: int):
 
 
 def _probe_profiles(cfg: ExperimentConfig, ref: SampledField) -> list:
-    """One profile per boost of the grid; raises before any propagation if a
-    boost is infeasible or the grid is not the one the estimator fits."""
+    """One profile per boost of DELTA_GRID_DB; raises before any propagation
+    if a boost is infeasible for the configured regions."""
     regions = cfg.region_set()
     profiles = []
-    for delta_db in cfg.delta_a_grid_db:
+    for delta_db in DELTA_GRID_DB:
         try:
             profiles.append(build_profile(ref, regions, delta_db))
         except InfeasiblePerturbationError as exc:
             raise InfeasiblePerturbationError(
                 f"every scenario (power={list(cfg.powers_dbm)} dBm, "
                 f"nf={list(cfg.nf_dbs)} dB) delta_A={delta_db:+g} dB: {exc}") from exc
-    check_probe_grid(cfg.delta_a_grid_db)
     return profiles
 
 
@@ -177,7 +173,7 @@ def _run_unit(cfg: ExperimentConfig, ip: int, inf_: int, ref: SampledField,
     for k, _ in propagate(stack, ref.sample_rate, cfg.spans, fiber=cfg.fiber,
                           amp=link.amp, ase_seeds=ase_seeds,
                           carrier_hz=link.center_freq, workers=fft_workers):
-        for idelta, delta_db in enumerate(cfg.delta_a_grid_db):
+        for idelta, delta_db in enumerate(DELTA_GRID_DB):
             fld = SampledField(stack[2 * idelta].astype(complex),
                                stack[2 * idelta + 1].astype(complex),
                                ref.sample_rate, link.center_freq)

@@ -21,7 +21,6 @@ The benchmark has no paper-size workload, so that cost is not measured.
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -250,7 +249,7 @@ def propagate(stack: np.ndarray, sample_rate: float, taps, *,
 
 
 def simulate_link(tx: SampledField, link: LinkConfig, workers: int = 2,
-                  dtype=np.complex128, dump_dir=None) -> SampledField:
+                  dtype=np.complex128) -> SampledField:
     """Launch-scale the unit-power waveform and run n_spans x (fiber; EDFA).
 
     dtype=np.complex64 roughly halves runtime at accuracy far below the
@@ -260,14 +259,9 @@ def simulate_link(tx: SampledField, link: LinkConfig, workers: int = 2,
     power = float(np.mean(np.abs(mat[0]) ** 2) + np.mean(np.abs(mat[1]) ** 2))
     if power > 0:
         mat *= mat.real.dtype.type(math.sqrt(link.launch_power_w / power))
-    spans = propagate(mat, tx.sample_rate, range(1, link.n_spans + 1), fiber=link.fiber,
-                      amp=link.amp if link.n_spans else None, ase_seeds=(link.ase_seed,),
-                      carrier_hz=link.center_freq, workers=workers)
-    for k, _ in spans:
-        if dump_dir is not None:
-            out = SampledField(mat[0].astype(complex), mat[1].astype(complex),
-                               tx.sample_rate, link.center_freq)
-            out.save(Path(dump_dir) / f"span_{k:02d}.bin")
+    list(propagate(mat, tx.sample_rate, range(1, link.n_spans + 1), fiber=link.fiber,
+                   amp=link.amp if link.n_spans else None, ase_seeds=(link.ase_seed,),
+                   carrier_hz=link.center_freq, workers=workers))
     return SampledField(mat[0].astype(complex), mat[1].astype(complex),
                         tx.sample_rate, link.center_freq)
 

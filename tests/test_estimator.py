@@ -96,11 +96,6 @@ class TestFit:
         with pytest.raises(RankDeficientError, match=r"p_n"):
             fit_least_squares(Dataset(rows, osnr_cap_db=math.inf))
 
-    def test_split_overlap_rejected(self):
-        rows = synthetic_rows(n=10)
-        with pytest.raises(ValueError, match="overlap"):
-            Dataset(rows, math.inf, np.array([0, 1, 2]), np.array([2, 3]))
-
 
 class TestPredict:
     def test_intercept_only(self):
@@ -171,6 +166,9 @@ class TestSplits:
             assert not set(train) & set(test)
             seen.extend(test)
         assert sorted(seen) == list(range(57))
+        for n_folds in (0, 1):
+            with pytest.raises(ValueError, match="n_folds >= 2"):
+                list(kfold_by_spans(data, n_folds))
 
     def test_kfold_stratifies_spans(self):
         data = Dataset(synthetic_rows(n=60))
@@ -217,8 +215,8 @@ class TestFitOptimality:
         rows = synthetic_rows(noise_db=0.5, seed=9)
         data = Dataset(rows, osnr_cap_db=math.inf)
         coeffs = fit_least_squares(data)
-        x = np.array([r.features() for r in data.training_rows()])
-        y = np.array([r.truth_osnr_db for r in data.training_rows()])
+        x = np.array([r.features() for r in data.capped()])
+        y = np.array([r.truth_osnr_db for r in data.capped()])
 
         def sse(values):
             residual = y - x @ values

@@ -14,7 +14,7 @@ from osnrprobe.experiment import (
     run_dataset,
 )
 from osnrprobe.fiberlink import FiberParams
-from osnrprobe.waveform import InfeasiblePerturbationError, TxConfig
+from osnrprobe.waveform import InfeasiblePerturbationError, RegionSet, TxConfig
 
 
 def tiny_config(**overrides):
@@ -30,6 +30,16 @@ def tiny_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def wide_boost_regions():
+    """A 10 GHz boost band around the carrier: with the tiny_config
+    transmitter it holds K_A = 0.174 of the power, so the +10 dB probe
+    needs more than the waveform carries while -10..+5 dB stay feasible."""
+    half = tiny_config().tx.boi_halfwidth
+    return RegionSet(f_a=[(-5e9, 5e9)], f_n=[(12e9, 14e9)],
+                     f_b=[(-half, -5e9), (5e9, 12e9), (14e9, half)],
+                     f_boi=(-half, half))
+
+
 def file_hash(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -43,9 +53,12 @@ class TestConfig:
 
     def test_rejects_unknown_schema(self):
         doc = json.loads(tiny_config().to_json())
-        doc["schema_version"] = 99
-        with pytest.raises(ValueError, match="schema_version"):
-            ExperimentConfig.from_json(json.dumps(doc))
+        # a version 1 document carried the probe grid and the OSNR cap
+        v1 = dict(doc, schema_version=1, delta_a_grid_db=list(DELTA_GRID_DB),
+                  osnr_cap_db=30.0)
+        for bad in (dict(doc, schema_version=99), v1):
+            with pytest.raises(ValueError, match="schema_version"):
+                ExperimentConfig.from_json(json.dumps(bad))
 
     def test_missing_file_is_not_json_text(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -64,8 +77,6 @@ class TestConfig:
         assert cfg.spans == (1, 5, 10, 15, 20, 25, 30)
         assert cfg.powers_dbm == (-2.0, 0.0, 2.0, 4.0, 6.0)
         assert cfg.nf_dbs == (4.5, 5.5, 6.5, 7.5)
-        assert cfg.delta_a_grid_db == DELTA_GRID_DB
-        assert cfg.osnr_cap_db == 30.0
 
     def test_paper_preset_values(self):
         cfg = paper_preset()
@@ -119,13 +130,8 @@ class TestRunDataset:
             assert row.p_ref_db > max(row.p_n_db)  # notch sits below the carrier
 
     def test_infeasible_boost_reports_scenario(self, tmp_path):
-        cfg = tiny_config(delta_a_grid_db=(-10.0, -5.0, 0.0, 5.0, 30.0))
-        with pytest.raises(InfeasiblePerturbationError, match="power=.*delta_A=\\+30"):
-            run_dataset(cfg, tmp_path / "rows.csv", log=lambda *_: None)
-
-    def test_wrong_delta_grid_rejected(self, tmp_path):
-        cfg = tiny_config(delta_a_grid_db=(0.0,))
-        with pytest.raises(ValueError, match="incomplete"):
+        cfg = tiny_config(regions=wide_boost_regions())
+        with pytest.raises(InfeasiblePerturbationError, match="power=.*delta_A=\\+10"):
             run_dataset(cfg, tmp_path / "rows.csv", log=lambda *_: None)
 
     def test_bad_probe_grid_fails_before_propagation(self, tmp_path, monkeypatch):
@@ -133,12 +139,9 @@ class TestRunDataset:
             raise AssertionError("a span was propagated before the config error")
 
         monkeypatch.setattr(experiment, "propagate", no_propagation)
-        with pytest.raises(InfeasiblePerturbationError, match="power=.*delta_A=\\+30"):
-            run_dataset(tiny_config(delta_a_grid_db=(-10.0, -5.0, 0.0, 5.0, 30.0)),
+        with pytest.raises(InfeasiblePerturbationError, match="power=.*delta_A=\\+10"):
+            run_dataset(tiny_config(regions=wide_boost_regions()),
                         tmp_path / "a.csv", log=lambda *_: None)
-        with pytest.raises(ValueError, match="incomplete"):
-            run_dataset(tiny_config(delta_a_grid_db=(0.0,)), tmp_path / "b.csv",
-                        log=lambda *_: None)
 
 
 class TestCli:
@@ -147,6 +150,11 @@ class TestCli:
         assert cli.main(["margin", "--out", str(out), "--snr-max-db", "10"]) == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "snr_db,bwd_pert_hz,penalty_db"
+        for bad in (["--snr-step-db", "0"], ["--snr-step-db", "-1"],
+                    ["--snr-min-db", "10", "--snr-max-db", "5"]):
+            with pytest.raises(ValueError, match="snr-step-db"):
+                cli.main(["margin", "--out", str(tmp_path / "bad.csv"), *bad])
+        assert not (tmp_path / "bad.csv").exists()
 
     def test_fit_and_eval_commands(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -165,6 +173,10 @@ class TestCli:
                          str(coeffs_path), "--mode", "fit-all",
                          "--osnr-cap-db", "inf"]) == 0
         assert coeffs_path.exists()
+        for folds in ("0", "1"):
+            with pytest.raises(ValueError, match="n_folds >= 2"):
+                cli.main(["fit", "--dataset", str(data_path), "--coeffs",
+                          str(tmp_path / "cv.json"), "--folds", folds])
         assert cli.main(["eval", "--dataset", str(data_path), "--coeffs",
                          str(coeffs_path), "--osnr-cap-db", "inf",
                          "--report", str(report_path)]) == 0

@@ -289,15 +289,3 @@ class TestInvariants:
             rx = simulate_link(pert, link, dtype=np.complex64)
             levels.append(apsd(estimate_psd(rx), list(regions.f_a) + list(regions.f_b)))
         assert abs(levels[0] - levels[1]) < 0.01
-
-
-class TestFieldDumps:
-    def test_per_span_dumps(self, tmp_path, reference):
-        from osnrprobe.field import SampledField
-
-        link = LinkConfig(FiberParams(step_km=5.0), 2, 0.0, None)
-        out = simulate_link(reference, link, dump_dir=tmp_path)
-        files = sorted(tmp_path.glob("span_*.bin"))
-        assert [f.name for f in files] == ["span_01.bin", "span_02.bin"]
-        last = SampledField.load(files[-1], reference.sample_rate)
-        np.testing.assert_allclose(last.samples_x, out.samples_x, rtol=1e-6)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from osnrprobe.field import SampledField
-from osnrprobe.fiberlink import FiberParams, LinkConfig, simulate_link
+from osnrprobe.fiberlink import FiberParams, LinkConfig, propagate, simulate_link
 from osnrprobe.spectrum import (
     ApsdReport,
     PsdTrace,
@@ -138,11 +138,15 @@ class TestNlnMetric:
         cfg = TxConfig(n_symbols=2**14, seed=7, nfl_rel_db=None)
         ref = generate_reference(cfg)
         pert = apply_perturbation(ref, build_profile(ref, regions, 10.0))
-        fiber = FiberParams(step_km=0.1)
+        link = LinkConfig(FiberParams(step_km=0.1), 6, 2.0, None)
+        # one noiseless 6-span run read at 1, 3 and 6 spans
+        stack = pert.as_matrix().astype(np.complex64)
+        launched = SampledField(*stack, pert.sample_rate)
+        stack *= np.float32(math.sqrt(link.launch_power_w / launched.total_power()))
         contrasts = []
-        for spans in (1, 3, 6):
-            rx = simulate_link(pert, LinkConfig(fiber, spans, 2.0, None),
-                               dtype=np.complex64)
+        for _ in propagate(stack, pert.sample_rate, (1, 3, 6), fiber=link.fiber,
+                           amp=link.amp, carrier_hz=link.center_freq):
+            rx = SampledField(*stack.astype(complex), pert.sample_rate, link.center_freq)
             rep = measure(rx, regions, 10.0)
             contrasts.append(nln_metric(rep.p_ref_db, rep.p_n_db))
         assert contrasts[0] > contrasts[1] > contrasts[2]
