@@ -104,21 +104,24 @@ class ExperimentConfig:
 
 
 def desk_preset() -> ExperimentConfig:
-    """Reduced grid that a workstation can turn around: 2^14 symbols, 0.05 km
-    steps, seven span counts, single-precision propagation."""
+    """Reduced grid that a workstation can turn around: 2^14 symbols, the
+    default 0.5 km step (200 per span), seven span counts, single-precision
+    propagation. The 140 scenarios took 31 min serial on a shared
+    2-core machine with one FFT thread, about 94 s per work unit."""
     return ExperimentConfig(
         tx=TxConfig(n_symbols=2**14, seed=1234),
-        fiber=FiberParams(step_km=0.05),
         spans=(1, 5, 10, 15, 20, 25, 30),
         precision="single",
     )
 
 
 def paper_preset() -> ExperimentConfig:
-    """Full-scale grid: 2^17 symbols, 0.01 km steps, spans 1..30."""
+    """Full-scale grid: 2^17 symbols, the default 0.5 km step (200 per
+    span), spans 1..30, double precision. One span of a work unit's
+    (10, N) stack took 67 s with one FFT thread on a shared 2-core
+    machine, so the 20 units are about 11 h serial."""
     return ExperimentConfig(
         tx=TxConfig(n_symbols=2**17, seed=1234),
-        fiber=FiberParams(step_km=0.01),
         spans=tuple(range(1, 31)),
         precision="double",
     )
@@ -155,8 +158,9 @@ def _probe_profiles(cfg: ExperimentConfig, ref: SampledField) -> list:
 
 
 def _run_unit(cfg: ExperimentConfig, ip: int, inf_: int, ref: SampledField,
-              profiles: list, fft_workers: int) -> list:
-    """Simulate all probes of one (power, NF) pair as one stack; return rows."""
+              profiles: list, fft_workers: int):
+    """Simulate all probes of one (power, NF) pair as one stack; return its
+    rows and the largest nonlinear phase of any split step (rad)."""
     power = cfg.powers_dbm[ip]
     nf = cfg.nf_dbs[inf_]
     regions = cfg.region_set()
@@ -170,9 +174,9 @@ def _run_unit(cfg: ExperimentConfig, ip: int, inf_: int, ref: SampledField,
         pair *= pair.real.dtype.type(math.sqrt(link.launch_power_w / tx.total_power()))
     ase_seeds = [_chain_ase_seed(cfg, ip, inf_, idelta) for idelta in range(len(profiles))]
     reports = {spans: [] for spans in cfg.spans}
-    for k, _ in propagate(stack, ref.sample_rate, cfg.spans, fiber=cfg.fiber,
-                          amp=link.amp, ase_seeds=ase_seeds,
-                          carrier_hz=link.center_freq, workers=fft_workers):
+    for k, _, max_phi in propagate(stack, ref.sample_rate, cfg.spans, fiber=cfg.fiber,
+                                   amp=link.amp, ase_seeds=ase_seeds,
+                                   carrier_hz=link.center_freq, workers=fft_workers):
         for idelta, delta_db in enumerate(DELTA_GRID_DB):
             fld = SampledField(stack[2 * idelta].astype(complex),
                                stack[2 * idelta + 1].astype(complex),
@@ -183,7 +187,7 @@ def _run_unit(cfg: ExperimentConfig, ip: int, inf_: int, ref: SampledField,
     for spans in cfg.spans:
         truth = analytic_osnr(LinkConfig(cfg.fiber, spans, power, nf))
         rows.append(build_feature_row(reports[spans], truth, (power, spans, nf)))
-    return rows
+    return rows, max_phi
 
 
 def run_dataset(cfg: ExperimentConfig, out_path, workers: int = 1,
@@ -234,13 +238,18 @@ def run_dataset(cfg: ExperimentConfig, out_path, workers: int = 1,
         log("dataset already complete; no simulations to run")
         return list(rows_by_key.values())
 
+    def unit_done(n, ip, inf_, max_phi, what):
+        log(f"[{n}/{len(units)}] power={cfg.powers_dbm[ip]:+g} dBm "
+            f"nf={cfg.nf_dbs[inf_]:g} dB {what}; {cfg.fiber.steps_per_span} "
+            f"steps/span, max nonlinear phase {max_phi:.3g} rad/step")
+
     started = time.monotonic()
     if workers <= 1:
         for n, (ip, inf_) in enumerate(units, 1):
             t0 = time.monotonic()
-            store(_run_unit(cfg, ip, inf_, ref, profiles, fft_workers))
-            log(f"[{n}/{len(units)}] power={cfg.powers_dbm[ip]:+g} dBm "
-                f"nf={cfg.nf_dbs[inf_]:g} dB done in {time.monotonic() - t0:.1f}s")
+            unit_rows, max_phi = _run_unit(cfg, ip, inf_, ref, profiles, fft_workers)
+            store(unit_rows)
+            unit_done(n, ip, inf_, max_phi, f"done in {time.monotonic() - t0:.1f}s")
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(_run_unit, cfg, ip, inf_, ref, profiles,
@@ -248,8 +257,8 @@ def run_dataset(cfg: ExperimentConfig, out_path, workers: int = 1,
                        for ip, inf_ in units}
             for n, fut in enumerate(as_completed(futures), 1):
                 ip, inf_ = futures[fut]
-                store(fut.result())
-                log(f"[{n}/{len(units)}] power={cfg.powers_dbm[ip]:+g} dBm "
-                    f"nf={cfg.nf_dbs[inf_]:g} dB collected")
+                unit_rows, max_phi = fut.result()
+                store(unit_rows)
+                unit_done(n, ip, inf_, max_phi, "collected")
     log(f"dataset complete: {len(rows_by_key)} rows in {time.monotonic() - started:.0f}s")
     return list(rows_by_key.values())

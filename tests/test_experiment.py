@@ -73,7 +73,7 @@ class TestConfig:
     def test_desk_preset_values(self):
         cfg = desk_preset()
         assert cfg.tx.n_symbols == 2**14
-        assert cfg.fiber.step_km == 0.05
+        assert cfg.fiber.step_km == 0.5
         assert cfg.spans == (1, 5, 10, 15, 20, 25, 30)
         assert cfg.powers_dbm == (-2.0, 0.0, 2.0, 4.0, 6.0)
         assert cfg.nf_dbs == (4.5, 5.5, 6.5, 7.5)
@@ -81,7 +81,7 @@ class TestConfig:
     def test_paper_preset_values(self):
         cfg = paper_preset()
         assert cfg.tx.n_symbols == 2**17
-        assert cfg.fiber.step_km == 0.01
+        assert cfg.fiber.step_km == 0.5
         assert cfg.spans == tuple(range(1, 31))
         assert cfg.tx.baud_rate == 56.8e9
         assert cfg.tx.rolloff == 0.07
@@ -92,8 +92,10 @@ class TestRunDataset:
     def test_grid_and_resume(self, tmp_path):
         cfg = tiny_config()
         out = tmp_path / "rows.csv"
-        rows = run_dataset(cfg, out, log=lambda *_: None)
+        messages = []
+        rows = run_dataset(cfg, out, log=messages.append)
         assert len(rows) == 2
+        assert any("200 steps/span, max nonlinear phase" in m for m in messages)
         first_hash = file_hash(out)
 
         messages = []

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from osnrprobe.estimator import DELTA_GRID_DB
+from osnrprobe.experiment import desk_preset
 from osnrprobe.field import SampledField
 from osnrprobe.fiberlink import (
     AmpParams,
@@ -15,8 +17,9 @@ from osnrprobe.fiberlink import (
     reference_bandwidth_hz,
     simulate_link,
 )
-from osnrprobe.spectrum import apsd, estimate_psd
-from osnrprobe.waveform import apply_perturbation, build_profile
+from osnrprobe.spectrum import apsd, estimate_psd, measure
+from osnrprobe.waveform import (apply_perturbation, build_profile, default_regions,
+                                generate_reference)
 
 H_PLANCK = 6.62607015e-34
 
@@ -33,6 +36,21 @@ def bare_fiber(fld, fiber):
     stack = fld.as_matrix()
     list(propagate(stack, fld.sample_rate, (1,), fiber=fiber, carrier_hz=fld.center_freq))
     return SampledField(*stack, fld.sample_rate, fld.center_freq)
+
+
+def noiseless_apsds(ref, regions, deltas_db, power_dbm, fiber, n_spans, dtype):
+    """(p_ref, p_n) in dB per probe after n_spans of a link with no ASE:
+    only the nonlinear fill (and round-off) reaches the notch."""
+    link = LinkConfig(fiber, n_spans, power_dbm, None)
+    probes = [apply_perturbation(ref, build_profile(ref, regions, d)) for d in deltas_db]
+    stack = np.concatenate([p.as_matrix() for p in probes]).astype(dtype)
+    stack *= stack.real.dtype.type(math.sqrt(link.launch_power_w / ref.total_power()))
+    list(propagate(stack, ref.sample_rate, (n_spans,), fiber=fiber, amp=link.amp,
+                   carrier_hz=link.center_freq))
+    reports = [measure(SampledField(*stack[2 * i:2 * i + 2].astype(complex),
+                                    ref.sample_rate, link.center_freq), regions, d)
+               for i, d in enumerate(deltas_db)]
+    return [(r.p_ref_db, r.p_n_db) for r in reports]
 
 
 def bare_amp(fld, amp, seed):
@@ -65,6 +83,9 @@ class TestPropagateSpan:
         expected = -(8.0 / 9.0) * 1.3 * power * length
         measured = float(np.angle(out.samples_x[0] / cw.samples_x[0]))
         assert measured == pytest.approx(expected, rel=0.005)
+        # every lossless step of a CW field applies the same phase
+        (_, _, max_phi), = propagate(cw.as_matrix(), cw.sample_rate, (1,), fiber=fiber)
+        assert max_phi == pytest.approx(-expected / fiber.steps_per_span, rel=1e-9)
 
     def test_spm_cw_phase_with_loss(self):
         # oracle: effective length (1 - e^(-aL)) / a replaces L under loss
@@ -158,7 +179,7 @@ class TestBatchedEngine:
         taps = (1, 2)
 
         def run(stack, ase_seeds):
-            return {k: out.copy() for k, out in propagate(
+            return {k: out.copy() for k, out, _ in propagate(
                 stack, reference.sample_rate, taps, fiber=fiber, amp=amp,
                 ase_seeds=ase_seeds)}
 
@@ -279,6 +300,24 @@ class TestInvariants:
             levels.append(apsd(estimate_psd(rx), list(regions.f_a) + list(regions.f_b)))
         assert abs(levels[0] - levels[1]) < 0.01
 
+    def test_preset_step_converges_on_notch(self):
+        # the method reads the notch, ~20 dB under the signal: at the desk
+        # preset's own step and precision its nonlinear fill must match a
+        # complex128 run at 0.1 km steps (desk waveform, no ASE and no tx
+        # floor, +6 dBm, the extreme probes, two 100 km spans)
+        cfg = desk_preset()
+        tx = dataclasses.replace(cfg.tx, nfl_rel_db=None)
+        ref = generate_reference(tx)
+        regions = default_regions(tx)
+        deltas = (DELTA_GRID_DB[0], DELTA_GRID_DB[-1])
+        fine = FiberParams(step_km=0.1)
+        assert cfg.fiber.step_km > fine.step_km
+        got = noiseless_apsds(ref, regions, deltas, 6.0, cfg.fiber, 2, cfg.dtype)
+        want = noiseless_apsds(ref, regions, deltas, 6.0, fine, 2, np.complex128)
+        for (p_ref, p_n), (p_ref_fine, p_n_fine) in zip(got, want):
+            assert abs(p_n - p_n_fine) <= 0.05
+            assert abs(p_ref - p_ref_fine) <= 0.01
+
     @pytest.mark.slow
     def test_step_convergence_full(self, reference, regions):
         # the as-specified variant: 10 spans at 2 dBm, 0.05 vs 0.025 km
@@ -289,3 +328,11 @@ class TestInvariants:
             rx = simulate_link(pert, link, dtype=np.complex64)
             levels.append(apsd(estimate_psd(rx), list(regions.f_a) + list(regions.f_b)))
         assert abs(levels[0] - levels[1]) < 0.01
+        # and the notch at the desk worst case (+6 dBm, +10 dB probe, 10
+        # spans): the preset's step in complex64 against 0.1 km in complex128
+        cfg = desk_preset()
+        (_, p_n), = noiseless_apsds(reference, regions, (10.0,), 6.0, cfg.fiber, 10,
+                                    cfg.dtype)
+        (_, p_n_fine), = noiseless_apsds(reference, regions, (10.0,), 6.0,
+                                         FiberParams(step_km=0.1), 10, np.complex128)
+        assert abs(p_n - p_n_fine) <= 0.05

@@ -138,7 +138,7 @@ class TestNlnMetric:
         cfg = TxConfig(n_symbols=2**14, seed=7, nfl_rel_db=None)
         ref = generate_reference(cfg)
         pert = apply_perturbation(ref, build_profile(ref, regions, 10.0))
-        link = LinkConfig(FiberParams(step_km=0.1), 6, 2.0, None)
+        link = LinkConfig(FiberParams(), 6, 2.0, None)  # the converged default step
         # one noiseless 6-span run read at 1, 3 and 6 spans
         stack = pert.as_matrix().astype(np.complex64)
         launched = SampledField(*stack, pert.sample_rate)
