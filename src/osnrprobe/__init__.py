@@ -30,7 +30,7 @@ from .fiberlink import (
     analytic_osnr,
     reference_bandwidth_hz,
 )
-from .spectrum import PsdTrace, ApsdReport, estimate_psd, apsd, nln_metric, measure
+from .spectrum import PsdTrace, ApsdReport, estimate_psd, apsd, measure
 from .estimator import (
     DELTA_GRID_DB,
     FeatureRow,

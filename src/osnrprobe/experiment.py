@@ -104,10 +104,11 @@ class ExperimentConfig:
 
 
 def desk_preset() -> ExperimentConfig:
-    """Reduced grid that a workstation can turn around: 2^14 symbols, the
-    default 0.5 km step (200 per span), seven span counts, single-precision
-    propagation. The 140 scenarios took 31 min serial on a shared
-    2-core machine with one FFT thread, about 94 s per work unit."""
+    """Reduced grid that a workstation can turn around: 2^14 symbols at the
+    default 2 samples/symbol (N = 2^15), the default 0.5 km step (200 per
+    span), seven span counts, single-precision propagation. The 140
+    scenarios took 8.6 min on a shared 2-core machine with two worker
+    processes and one FFT thread each."""
     return ExperimentConfig(
         tx=TxConfig(n_symbols=2**14, seed=1234),
         spans=(1, 5, 10, 15, 20, 25, 30),
@@ -116,14 +117,15 @@ def desk_preset() -> ExperimentConfig:
 
 
 def paper_preset() -> ExperimentConfig:
-    """Full-scale grid: 2^17 symbols, the default 0.5 km step (200 per
-    span), spans 1..30, double precision. One span of a work unit's
-    (10, N) stack took 67 s with one FFT thread on a shared 2-core
-    machine, so the 20 units are about 11 h serial."""
+    """Full-scale grid: 2^17 symbols at the default 2 samples/symbol
+    (N = 2^18), the default 0.5 km step (200 per span), spans 1..30, single
+    precision. One span of a work unit's (10, N) stack took 18 s with one
+    FFT thread on a shared 2-core machine, so the 20 units are about 3 h
+    serial."""
     return ExperimentConfig(
         tx=TxConfig(n_symbols=2**17, seed=1234),
         spans=tuple(range(1, 31)),
-        precision="double",
+        precision="single",
     )
 
 

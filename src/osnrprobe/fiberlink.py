@@ -13,9 +13,9 @@ while the nonlinear phase, which couples only the two polarizations of one
 field, is applied one row pair at a time through a preallocated workspace.
 Each field keeps its own ASE seed, so a field's samples are bit-identical
 whether it travels alone or in a stack. The memory cost is the stack itself:
-five desk probes (N = 49 152, complex64) take 3.9 MB, five paper probes
-(N = 393 216, complex128) about 63 MB, against 12.6 MB for one paper field.
-The benchmark has no paper-size workload, so that cost is not measured.
+five probes at 2 samples/symbol in complex64 take 2.6 MB at desk size
+(N = 2^15) and about 21 MB at paper size (N = 2^18). The benchmark has no
+paper-size workload, so that cost is not measured.
 """
 
 import math
@@ -40,8 +40,9 @@ class FiberParams:
 
     The default 0.5 km step (200 steps per 100 km span) is converged for the
     notch APSD the method reads: at +6 dBm over two spans the desk notch
-    lies within 0.001 dB of a complex128 run at 0.1 km steps, and the test
-    suite fails if the presets' step moves it by more than 0.05 dB.
+    lies within 0.0003 dB of the same symbols at 4 samples/symbol in
+    complex128 at 0.1 km steps, and the test suite fails if the presets'
+    samples/symbol, step and precision move it by more than 0.05 dB.
     """
 
     dispersion_D: float = 16.7      # ps/nm/km

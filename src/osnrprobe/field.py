@@ -1,7 +1,6 @@
-"""Dual-polarization sampled optical field container and binary I/O."""
+"""Dual-polarization sampled optical field container."""
 
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,8 +22,8 @@ class SampledField:
     """Complex baseband field on a uniform time grid, one array per polarization.
 
     Units: |samples|^2 is instantaneous power in W. The grid length must be
-    5-smooth so mixed-radix FFTs stay fast (56.8 GBaud at 3 samples/symbol
-    forces a factor of 3).
+    5-smooth so mixed-radix FFTs stay fast; the presets' 2^k symbols at 2
+    samples/symbol give a power of two.
     """
 
     samples_x: np.ndarray
@@ -75,24 +74,3 @@ class SampledField:
     def as_matrix(self) -> np.ndarray:
         """(2, N) view-ish stack of both polarizations (copies)."""
         return np.stack([self.samples_x, self.samples_y])
-
-    def save(self, path) -> None:
-        """Dump to raw little-endian float64, interleaved re/im, x then y."""
-        buf = np.empty(4 * len(self), dtype="<f8")
-        buf[0 : 2 * len(self) : 2] = self.samples_x.real
-        buf[1 : 2 * len(self) : 2] = self.samples_x.imag
-        buf[2 * len(self) :: 2] = self.samples_y.real
-        buf[2 * len(self) + 1 :: 2] = self.samples_y.imag
-        Path(path).write_bytes(buf.tobytes())
-
-    @classmethod
-    def load(cls, path, sample_rate: float, center_freq: float = DEFAULT_CARRIER_HZ) -> "SampledField":
-        """Read a field written by :meth:`save`."""
-        raw = Path(path).read_bytes()
-        if len(raw) % 32 != 0:
-            raise ValueError("binary field file has truncated record")
-        buf = np.frombuffer(raw, dtype="<f8")
-        n = buf.size // 4
-        x = buf[0 : 2 * n : 2] + 1j * buf[1 : 2 * n : 2]
-        y = buf[2 * n :: 2] + 1j * buf[2 * n + 1 :: 2]
-        return cls(x, y, sample_rate, center_freq)

@@ -11,7 +11,6 @@ discarded.
 import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -70,16 +69,19 @@ def estimate_psd(fld: SampledField, rbw: float = DEFAULT_OSA_RBW_HZ,
                  sg_order: int = DEFAULT_SG_ORDER) -> PsdTrace:
     """Welch-averaged, OSA-smoothed PSD of a dual-polarization field.
 
-    Segment length is the smallest power of two giving native bin spacing
-    <= 30 MHz (Hann window, 50% overlap); polarizations are summed before
-    the Super-Gaussian smoothing so the trace is what a total-power OSA
-    would display.
+    The segment is the record halved for as long as the native bin stays
+    <= 30 MHz (Hann window, 50% overlap), so it is chosen by duration, not
+    by sample count: a 2^k-symbol record gets sps * 2^m samples per
+    segment and the same 27.7 MHz bin at any samples/symbol. Polarizations
+    are summed before the Super-Gaussian smoothing so the trace is what a
+    total-power OSA would display.
     """
     n = len(fld)
     if n < MIN_FIELD_SAMPLES:
         raise ValueError(f"field too short for PSD estimation ({n} < {MIN_FIELD_SAMPLES})")
-    nperseg = 2 ** math.ceil(math.log2(fld.sample_rate / MAX_NATIVE_BIN_HZ))
-    nperseg = min(nperseg, n)
+    nperseg = n
+    while nperseg % 2 == 0 and 2 * fld.sample_rate / nperseg <= MAX_NATIVE_BIN_HZ:
+        nperseg //= 2
     psd = None
     for samples in (fld.samples_x, fld.samples_y):
         freqs, pxx = welch(samples, fs=fld.sample_rate, window="hann",
@@ -127,13 +129,6 @@ def apsd(trace: PsdTrace, region: Sequence, inner_fraction: float = 1.0) -> floa
     if mean_psd <= 0:
         return -math.inf
     return 10.0 * math.log10(mean_psd)
-
-
-def nln_metric(p_ref_db: float, p_n_db: float) -> float:
-    """Notch contrast in dB; shrinks as nonlinear noise fills the notch."""
-    if not (math.isfinite(p_ref_db) and math.isfinite(p_n_db)):
-        raise ValueError("APSD inputs must be finite")
-    return p_ref_db - p_n_db
 
 
 @dataclass

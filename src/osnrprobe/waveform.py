@@ -27,11 +27,17 @@ class RegionError(ValueError):
 
 @dataclass
 class TxConfig:
-    """Transmitter parameters (defaults are the full-scale simulation values)."""
+    """Transmitter parameters (defaults are the full-scale simulation values).
+
+    Two samples/symbol (fs 113.6 GHz) carry the 60.8 GHz-wide signal; its
+    third-order products reach +-91 GHz and alias only onto |f| >= 22.4 GHz,
+    clear of the +12..+14 GHz notch. A 2^k-symbol record is then a
+    power-of-two grid.
+    """
 
     baud_rate: float = 56.8e9
     rolloff: float = 0.07
-    samples_per_symbol: int = 3
+    samples_per_symbol: int = 2
     n_symbols: int = 2**17
     nfl_rel_db: Optional[float] = -22.5  # noise floor PSD below in-band signal PSD; None disables
     seed: int = 1

@@ -2,9 +2,9 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see one PASS line per
 criterion. The desk-scale end-to-end criterion needs the full dataset in
-data/desk_dataset.csv (about 30 min to regenerate with
-`osnrprobe dataset --preset desk`) and fails when the file misses any desk
-scenario, unless OSNRPROBE_RUN_DESK=1 completes it in place first.
+data/desk_dataset.csv (about 9 min to regenerate with `osnrprobe dataset
+--preset desk --workers 2 --fft-workers 1`) and fails when the file misses
+any desk scenario, unless OSNRPROBE_RUN_DESK=1 completes it in place first.
 """
 
 import math
@@ -162,9 +162,9 @@ class TestMethodProperties:
     def test_c6_ase_independence_and_nln_monotonicity(self):
         # (a) ASE path never sees the probe: identical seeds give identical
         # notch APSDs, independent seeds agree within the statistical budget.
-        grid_len = 3 * 2**17
-        fs = 170.4e9
         cfg = TxConfig(seed=7)
+        grid_len = cfg.n_symbols * cfg.samples_per_symbol
+        fs = cfg.sample_rate
         regions = default_regions(cfg)
         fiber = FiberParams(step_km=5.0)
 
@@ -283,8 +283,8 @@ class TestDeskScaleReproduction:
             pytest.fail(
                 f"desk dataset lacks {len(missing)} of {len(expected)} scenarios, "
                 f"the (power, NF) units {units}; generate with `osnrprobe dataset "
-                "--preset desk --out data/desk_dataset.csv` (about 30 min) or set "
-                "OSNRPROBE_RUN_DESK=1")
+                "--preset desk --workers 2 --fft-workers 1 --out data/desk_dataset.csv` "
+                "(about 9 min) or set OSNRPROBE_RUN_DESK=1")
 
         dataset = Dataset(estimator.load_rows(DESK_DATASET))
         pooled, _ = estimator.cross_validate(dataset)

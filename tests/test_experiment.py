@@ -73,6 +73,7 @@ class TestConfig:
     def test_desk_preset_values(self):
         cfg = desk_preset()
         assert cfg.tx.n_symbols == 2**14
+        assert cfg.tx.samples_per_symbol == 2
         assert cfg.fiber.step_km == 0.5
         assert cfg.spans == (1, 5, 10, 15, 20, 25, 30)
         assert cfg.powers_dbm == (-2.0, 0.0, 2.0, 4.0, 6.0)
@@ -86,6 +87,8 @@ class TestConfig:
         assert cfg.tx.baud_rate == 56.8e9
         assert cfg.tx.rolloff == 0.07
         assert cfg.tx.nfl_rel_db == -22.5
+        assert cfg.tx.samples_per_symbol == 2
+        assert cfg.precision == "single"
 
 
 class TestRunDataset:

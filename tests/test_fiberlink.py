@@ -206,14 +206,16 @@ class TestSimulateLink:
         scaled = math.sqrt(link.launch_power_w) * reference.samples_x
         assert np.max(np.abs(out.samples_x - scaled)) <= 1e-9 * np.max(np.abs(scaled))
 
-    def test_linear_regime_decomposition(self, reference):
+    def test_linear_regime_decomposition(self, reference, tx_cfg):
         # gamma = 0, one span: received trace is the scaled TX plus flat ASE
         fiber = FiberParams(gamma=0.0, step_km=5.0)
         link = LinkConfig(fiber, 1, -2.0, 6.0, ase_seed=3)
         rx = simulate_link(reference, link)
         trace = estimate_psd(rx)
         ase_db = 10 * math.log10(2 * link.amp.ase_psd_per_pol())
-        out_of_band = apsd(trace, [(40e9, 80e9)])
+        # ASE alone between the signal edge and fs/2
+        out_of_band = apsd(trace, [(tx_cfg.boi_halfwidth + 2e9,
+                                    tx_cfg.sample_rate / 2 - 2e9)])
         assert out_of_band == pytest.approx(ase_db, abs=0.1)
         in_band = apsd(trace, [(-20e9, -16e9)])
         signal_db = 10 * math.log10(link.launch_power_w / 56.8e9)
@@ -302,18 +304,22 @@ class TestInvariants:
 
     def test_preset_step_converges_on_notch(self):
         # the method reads the notch, ~20 dB under the signal: at the desk
-        # preset's own step and precision its nonlinear fill must match a
-        # complex128 run at 0.1 km steps (desk waveform, no ASE and no tx
-        # floor, +6 dBm, the extreme probes, two 100 km spans)
+        # preset's own samples/symbol, step and precision its nonlinear fill
+        # must match the same symbols at 4 samples/symbol in complex128 at
+        # 0.1 km steps (desk waveform, no ASE and no tx floor, +6 dBm, the
+        # extreme probes, two 100 km spans)
         cfg = desk_preset()
         tx = dataclasses.replace(cfg.tx, nfl_rel_db=None)
-        ref = generate_reference(tx)
-        regions = default_regions(tx)
-        deltas = (DELTA_GRID_DB[0], DELTA_GRID_DB[-1])
+        tx_fine = dataclasses.replace(tx, samples_per_symbol=4)
         fine = FiberParams(step_km=0.1)
         assert cfg.fiber.step_km > fine.step_km
-        got = noiseless_apsds(ref, regions, deltas, 6.0, cfg.fiber, 2, cfg.dtype)
-        want = noiseless_apsds(ref, regions, deltas, 6.0, fine, 2, np.complex128)
+        assert tx.samples_per_symbol < tx_fine.samples_per_symbol
+        regions = default_regions(tx)
+        deltas = (DELTA_GRID_DB[0], DELTA_GRID_DB[-1])
+        got = noiseless_apsds(generate_reference(tx), regions, deltas, 6.0,
+                              cfg.fiber, 2, cfg.dtype)
+        want = noiseless_apsds(generate_reference(tx_fine), regions, deltas, 6.0,
+                               fine, 2, np.complex128)
         for (p_ref, p_n), (p_ref_fine, p_n_fine) in zip(got, want):
             assert abs(p_n - p_n_fine) <= 0.05
             assert abs(p_ref - p_ref_fine) <= 0.01

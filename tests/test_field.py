@@ -4,12 +4,6 @@ import pytest
 from osnrprobe.field import SampledField
 
 
-def make(n=3072, fs=10e9):
-    rng = np.random.default_rng(0)
-    return SampledField(rng.standard_normal(n) + 1j * rng.standard_normal(n),
-                        rng.standard_normal(n) + 1j * rng.standard_normal(n), fs)
-
-
 def test_total_power():
     fld = SampledField(np.full(16, 2.0 + 0j), np.zeros(16, complex), 1e9)
     assert fld.total_power() == pytest.approx(4.0)
@@ -36,19 +30,3 @@ def test_rejects_non_finite_power():
     x[0] = np.inf
     with pytest.raises(ValueError, match="finite"):
         SampledField(x, np.zeros(8, complex), 1e9)
-
-
-def test_binary_roundtrip(tmp_path):
-    fld = make()
-    path = tmp_path / "field.bin"
-    fld.save(path)
-    back = SampledField.load(path, fld.sample_rate)
-    np.testing.assert_array_equal(back.samples_x, fld.samples_x)
-    np.testing.assert_array_equal(back.samples_y, fld.samples_y)
-
-
-def test_load_rejects_truncated(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"\x00" * 12)
-    with pytest.raises(ValueError, match="truncated"):
-        SampledField.load(path, 1e9)

@@ -54,7 +54,7 @@ class TestGenerateReference:
         assert not np.array_equal(other.samples_x, reference.samples_x)
 
     def test_sample_rate(self, reference):
-        assert reference.sample_rate == pytest.approx(170.4e9)
+        assert reference.sample_rate == pytest.approx(2 * 56.8e9)
 
     def test_rejects_rough_grid_length(self):
         with pytest.raises(ValueError, match="smooth"):
