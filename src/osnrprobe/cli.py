@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimator, margin
-from .experiment import PRESETS, ExperimentConfig, run_dataset
+from .experiment import PRESETS, ExperimentConfig, _nfl_seed, run_dataset
 from .fiberlink import LinkConfig, simulate_link
 from .spectrum import estimate_psd
 from .waveform import add_tx_noise_floor, apply_perturbation, build_profile, generate_reference
@@ -83,14 +83,11 @@ def cmd_margin(args) -> int:
 
 def cmd_psd(args) -> int:
     cfg = _load_config(args)
-    regions = cfg.region_set()
     ref = generate_reference(cfg.tx)
-    profile = build_profile(ref, regions, args.delta_db)
-    tx = add_tx_noise_floor(apply_perturbation(ref, profile), cfg.tx,
-                            np.random.SeedSequence((cfg.seed, 0x0F1, 0, 0, 0)))
-    nf = None if args.no_ase else args.nf_db
-    link = LinkConfig(cfg.fiber, args.spans, args.power_dbm, nf, ase_seed=cfg.seed)
-    rx = simulate_link(tx, link, dtype=cfg.dtype)
+    profile = build_profile(ref, cfg.region_set(), args.delta_db)
+    tx = add_tx_noise_floor(apply_perturbation(ref, profile), cfg.tx, _nfl_seed(cfg, 0, 0, 0))
+    link = LinkConfig(cfg.fiber, args.spans, args.power_dbm, None if args.no_ase else args.nf_db)
+    (_, (rx,), _), = simulate_link([tx], link, [cfg.seed], [args.spans])
     estimate_psd(rx).save_csv(args.out)
     print(f"wrote received PSD trace to {args.out}")
     return 0

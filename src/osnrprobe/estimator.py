@@ -149,14 +149,18 @@ class Dataset:
         return cls(load_rows(path), osnr_cap_db)
 
 
+def in_file_order(rows) -> list:
+    """Rows in the order save_rows writes them: by power, NF, spans."""
+    return sorted(rows, key=lambda r: (r.launch_power_dbm, r.nf_db, r.n_spans))
+
+
 def save_rows(rows: Sequence[FeatureRow], path) -> None:
     """Write rows sorted by scenario key with full-precision decimals, so a
     rerun with the same config reproduces the file byte for byte."""
-    ordered = sorted(rows, key=lambda r: (r.launch_power_dbm, r.nf_db, r.n_spans))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for r in ordered:
+        for r in in_file_order(rows):
             writer.writerow([
                 repr(r.launch_power_dbm), r.n_spans, repr(r.nf_db),
                 repr(r.truth_osnr_db), repr(r.p_ref_db),

@@ -6,8 +6,8 @@ measured, producing one feature row. The reference waveform and the five
 probe profiles (one per boost of `estimator.DELTA_GRID_DB`) are built once
 per run, before any propagation, so an infeasible boost fails in
 milliseconds. Scenarios sharing launch power and NF differ only in span
-count, so each (power, NF) work unit writes its five probes into one
-(10, N) stack and drives `fiberlink.propagate` once up to the largest span
+count, so each (power, NF) work unit launches its five probes as one
+(10, N) stack through `fiberlink.simulate_link` once up to the largest span
 count, measuring every probe at each requested intermediate count.
 Per-probe, per-span ASE seeding makes this bit-identical to simulating
 each probe and span count separately.
@@ -27,13 +27,13 @@ import numpy as np
 from . import estimator
 from .estimator import DELTA_GRID_DB, build_feature_row
 from .field import SampledField
-from .fiberlink import FiberParams, LinkConfig, analytic_osnr, propagate
+from .fiberlink import AmpParams, FiberParams, LinkConfig, analytic_osnr, simulate_link
 from .spectrum import measure
 from .waveform import (InfeasiblePerturbationError, RegionSet, TxConfig,
                        add_tx_noise_floor, apply_perturbation, build_profile,
                        default_regions, generate_reference)
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 @dataclass
@@ -49,7 +49,6 @@ class ExperimentConfig:
     nf_dbs: tuple = (4.5, 5.5, 6.5, 7.5)
     regions: Optional[RegionSet] = None   # default probe geometry when None
     seed: int = 1234
-    precision: str = "double"             # propagation dtype: "single" | "double"
 
     def __post_init__(self):
         self.powers_dbm = tuple(float(p) for p in self.powers_dbm)
@@ -59,12 +58,12 @@ class ExperimentConfig:
             raise ValueError("all scenario grids must be non-empty")
         if min(self.spans) < 1:
             raise ValueError("span counts must be >= 1")
-        if self.precision not in ("single", "double"):
-            raise ValueError("precision must be 'single' or 'double'")
+        if not all(math.isfinite(p) for p in self.powers_dbm):
+            raise ValueError(f"launch powers must be finite, got {list(self.powers_dbm)} dBm")
+        for nf in self.nf_dbs:
+            AmpParams(self.fiber.span_loss_db, nf)
 
-    @property
-    def dtype(self):
-        return np.complex64 if self.precision == "single" else np.complex128
+    dtype = np.complex64  # not a field: perfbench reads it; simulate_link always runs complex64
 
     def region_set(self) -> RegionSet:
         return self.regions if self.regions is not None else default_regions(self.tx)
@@ -79,7 +78,6 @@ class ExperimentConfig:
             "nf_dbs": list(self.nf_dbs),
             "regions": asdict(self.regions) if self.regions is not None else None,
             "seed": self.seed,
-            "precision": self.precision,
         }
         text = json.dumps(doc, indent=2) + "\n"
         if path is not None:
@@ -106,26 +104,22 @@ class ExperimentConfig:
 def desk_preset() -> ExperimentConfig:
     """Reduced grid that a workstation can turn around: 2^14 symbols at the
     default 2 samples/symbol (N = 2^15), the default 0.5 km step (200 per
-    span), seven span counts, single-precision propagation. The 140
-    scenarios took 8.6 min on a shared 2-core machine with two worker
-    processes and one FFT thread each."""
+    span), seven span counts. The 140 scenarios took 8.6 min on a shared
+    2-core machine with two worker processes and one FFT thread each."""
     return ExperimentConfig(
         tx=TxConfig(n_symbols=2**14, seed=1234),
         spans=(1, 5, 10, 15, 20, 25, 30),
-        precision="single",
     )
 
 
 def paper_preset() -> ExperimentConfig:
     """Full-scale grid: 2^17 symbols at the default 2 samples/symbol
-    (N = 2^18), the default 0.5 km step (200 per span), spans 1..30, single
-    precision. One span of a work unit's (10, N) stack took 18 s with one
-    FFT thread on a shared 2-core machine, so the 20 units are about 3 h
-    serial."""
+    (N = 2^18), the default 0.5 km step (200 per span), spans 1..30. One
+    span of a work unit's (10, N) stack took 18 s with one FFT thread on a
+    shared 2-core machine, so the 20 units are about 3 h serial."""
     return ExperimentConfig(
         tx=TxConfig(n_symbols=2**17, seed=1234),
         spans=tuple(range(1, 31)),
-        precision="single",
     )
 
 
@@ -167,22 +161,14 @@ def _run_unit(cfg: ExperimentConfig, ip: int, inf_: int, ref: SampledField,
     nf = cfg.nf_dbs[inf_]
     regions = cfg.region_set()
     link = LinkConfig(cfg.fiber, max(cfg.spans), power, nf)
-    stack = np.empty((2 * len(profiles), len(ref)), cfg.dtype)
-    for idelta, profile in enumerate(profiles):
-        tx = add_tx_noise_floor(apply_perturbation(ref, profile), cfg.tx,
-                                _nfl_seed(cfg, ip, inf_, idelta))
-        pair = stack[2 * idelta:2 * idelta + 2]
-        pair[0], pair[1] = tx.samples_x, tx.samples_y
-        pair *= pair.real.dtype.type(math.sqrt(link.launch_power_w / tx.total_power()))
+    probes = (add_tx_noise_floor(apply_perturbation(ref, profile), cfg.tx,
+                                 _nfl_seed(cfg, ip, inf_, idelta))
+              for idelta, profile in enumerate(profiles))
     ase_seeds = [_chain_ase_seed(cfg, ip, inf_, idelta) for idelta in range(len(profiles))]
     reports = {spans: [] for spans in cfg.spans}
-    for k, _, max_phi in propagate(stack, ref.sample_rate, cfg.spans, fiber=cfg.fiber,
-                                   amp=link.amp, ase_seeds=ase_seeds,
-                                   carrier_hz=link.center_freq, workers=fft_workers):
-        for idelta, delta_db in enumerate(DELTA_GRID_DB):
-            fld = SampledField(stack[2 * idelta].astype(complex),
-                               stack[2 * idelta + 1].astype(complex),
-                               ref.sample_rate, link.center_freq)
+    for k, received, max_phi in simulate_link(probes, link, ase_seeds, cfg.spans,
+                                              workers=fft_workers):
+        for fld, delta_db in zip(received, DELTA_GRID_DB):
             reports[k].append(measure(fld, regions, delta_db,
                                       scenario=f"p{power:+g}dBm_nf{nf:g}dB_{k}spans"))
     rows = []
@@ -238,7 +224,7 @@ def run_dataset(cfg: ExperimentConfig, out_path, workers: int = 1,
         if dropped:
             store()
         log("dataset already complete; no simulations to run")
-        return list(rows_by_key.values())
+        return estimator.in_file_order(rows_by_key.values())
 
     def unit_done(n, ip, inf_, max_phi, what):
         log(f"[{n}/{len(units)}] power={cfg.powers_dbm[ip]:+g} dBm "
@@ -263,4 +249,4 @@ def run_dataset(cfg: ExperimentConfig, out_path, workers: int = 1,
                 store(unit_rows)
                 unit_done(n, ip, inf_, max_phi, "collected")
     log(f"dataset complete: {len(rows_by_key)} rows in {time.monotonic() - started:.0f}s")
-    return list(rows_by_key.values())
+    return estimator.in_file_order(rows_by_key.values())

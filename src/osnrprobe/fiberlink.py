@@ -6,7 +6,8 @@ nonlinear phase rotation at the step midpoint, half-step linear. After each
 span a constant-gain amplifier restores the span loss and injects white ASE,
 so the ASE density never depends on the loaded spectrum.
 
-`propagate` is the one propagation engine. It advances a (2P, N) stack that
+`simulate_link` is the one launch path, in complex64, and `propagate` the
+one propagation engine under it. `propagate` advances a (2P, N) stack that
 holds P fields (the probes of one work unit, or a single field) in place:
 every FFT, linear multiply and inverse FFT runs once over the whole stack,
 while the nonlinear phase, which couples only the two polarizations of one
@@ -42,7 +43,7 @@ class FiberParams:
     notch APSD the method reads: at +6 dBm over two spans the desk notch
     lies within 0.0003 dB of the same symbols at 4 samples/symbol in
     complex128 at 0.1 km steps, and the test suite fails if the presets'
-    samples/symbol, step and precision move it by more than 0.05 dB.
+    samples/symbol and step, in complex64, move it by more than 0.05 dB.
     """
 
     dispersion_D: float = 16.7      # ps/nm/km
@@ -91,8 +92,8 @@ class AmpParams:
     def __post_init__(self):
         if not self.gain_db > 0:
             raise ValueError("gain_db must be positive")
-        if self.noisy and self.nf_db < QUANTUM_NF_DB - 1e-9:
-            raise ValueError(f"nf_db below the {QUANTUM_NF_DB:.2f} dB quantum limit")
+        if self.noisy and not QUANTUM_NF_DB - 1e-9 <= self.nf_db < math.inf:
+            raise ValueError(f"nf_db {self.nf_db} not finite or under the quantum limit")
 
     @property
     def noisy(self) -> bool:
@@ -122,7 +123,6 @@ class LinkConfig:
     launch_power_dbm: float
     nf_db: Optional[float] = 4.5
     center_freq: float = DEFAULT_CARRIER_HZ
-    ase_seed: int = 0
 
     def __post_init__(self):
         if self.n_spans < 0:
@@ -217,15 +217,14 @@ def propagate(stack: np.ndarray, sample_rate: float, taps, *,
               fiber: Optional[FiberParams] = None, amp: Optional[AmpParams] = None,
               ase_seeds=(), carrier_hz: float = DEFAULT_CARRIER_HZ, workers: int = 2):
     """Advance a (2P, N) stack of P dual-polarization fields span by span,
-    in place, and yield (k, stack, max_phi) after span k for every k in
-    taps, where max_phi is the largest nonlinear phase (rad) that any split
-    step of any field has applied up to span k.
+    in place, and yield (k, max_phi) after span k for every k in taps, where
+    max_phi is the largest nonlinear phase (rad) that any split step of any
+    field has applied up to span k.
 
     A span is `fiber` followed by `amp`; leave either out for a bare
     amplifier or a bare fiber. Rows 2i and 2i+1 hold field i (x, y), and its
     amplifier after span k draws ASE from span_seed(ase_seeds[i], k), so a
-    field's bytes are the same whether it travels alone or in a stack. The
-    yielded array is the live stack: read it before the next span.
+    field's bytes are the same whether it travels alone or in a stack.
     """
     if stack.ndim != 2 or stack.shape[0] % 2:
         raise ValueError("stack must be (2P, N): an x and a y row per field")
@@ -261,25 +260,37 @@ def propagate(stack: np.ndarray, sample_rate: float, taps, *,
                         (2, 2, stack.shape[1]))
                     stack[2 * i:2 * i + 2] += sigma * (noise[0] + 1j * noise[1])
         if k + 1 in taps:
-            yield k + 1, stack, max_phi
+            yield k + 1, max_phi
 
 
-def simulate_link(tx: SampledField, link: LinkConfig, workers: int = 2,
-                  dtype=np.complex128) -> SampledField:
-    """Launch-scale the unit-power waveform and run n_spans x (fiber; EDFA).
+def simulate_link(fields, link: LinkConfig, ase_seeds, taps, workers: int = 2):
+    """The one launch path: draw the fields one at a time into a complex64
+    stack, field i scaled by float32(sqrt(P_launch / total_power)) (an
+    all-zero field stays zero) and amplified with ASE from ase_seeds[i];
+    propagate it over `link` and yield (k, received, max_phi) after span k
+    for every k in taps (0 is the launch). `received` reads the fields back
+    one at a time as complex128 `SampledField`s from the live stack: consume
+    it before the next tap."""
+    stack = None
+    for i, (fld, _) in enumerate(zip(fields, ase_seeds, strict=True)):
+        if stack is None:
+            stack = np.empty((2 * len(ase_seeds), len(fld)), np.complex64)
+        stack[2 * i], stack[2 * i + 1] = fld.samples_x, fld.samples_y
+        power = fld.total_power()
+        if power > 0:
+            stack[2 * i:2 * i + 2] *= np.float32(math.sqrt(link.launch_power_w / power))
 
-    dtype=np.complex64 roughly halves runtime at accuracy far below the
-    statistical resolution of the spectral measurements.
-    """
-    mat = tx.as_matrix().astype(dtype)
-    power = float(np.mean(np.abs(mat[0]) ** 2) + np.mean(np.abs(mat[1]) ** 2))
-    if power > 0:
-        mat *= mat.real.dtype.type(math.sqrt(link.launch_power_w / power))
-    list(propagate(mat, tx.sample_rate, range(1, link.n_spans + 1), fiber=link.fiber,
-                   amp=link.amp if link.n_spans else None, ase_seeds=(link.ase_seed,),
-                   carrier_hz=link.center_freq, workers=workers))
-    return SampledField(mat[0].astype(complex), mat[1].astype(complex),
-                        tx.sample_rate, link.center_freq)
+    def received():
+        for i in range(0, len(stack), 2):
+            yield SampledField(stack[i].astype(complex), stack[i + 1].astype(complex),
+                               fld.sample_rate, link.center_freq)
+
+    if 0 in taps:
+        yield 0, received(), 0.0
+    for k, max_phi in propagate(stack, fld.sample_rate, [k for k in taps if k],
+                                fiber=link.fiber, amp=link.amp, ase_seeds=ase_seeds,
+                                carrier_hz=link.center_freq, workers=workers):
+        yield k, received(), max_phi
 
 
 def reference_bandwidth_hz(center_freq: float = DEFAULT_CARRIER_HZ,

@@ -24,7 +24,6 @@ def tiny_config(**overrides):
         powers_dbm=(2.0,),
         spans=(1, 2),
         nf_dbs=(4.5,),
-        precision="single",
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -53,10 +52,12 @@ class TestConfig:
 
     def test_rejects_unknown_schema(self):
         doc = json.loads(tiny_config().to_json())
-        # a version 1 document carried the probe grid and the OSNR cap
+        # a version 1 document carried the probe grid and the OSNR cap,
+        # version 2 the propagation precision
         v1 = dict(doc, schema_version=1, delta_a_grid_db=list(DELTA_GRID_DB),
                   osnr_cap_db=30.0)
-        for bad in (dict(doc, schema_version=99), v1):
+        v2 = dict(doc, schema_version=2, precision="single")
+        for bad in (dict(doc, schema_version=99), v1, v2):
             with pytest.raises(ValueError, match="schema_version"):
                 ExperimentConfig.from_json(json.dumps(bad))
 
@@ -69,6 +70,12 @@ class TestConfig:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError, match="non-empty"):
             tiny_config(powers_dbm=())
+
+    @pytest.mark.parametrize("bad", [dict(powers_dbm=(math.nan,)), dict(powers_dbm=(math.inf,)),
+                                     dict(nf_dbs=(math.nan,)), dict(nf_dbs=(2.0,))])
+    def test_rejects_non_physical_grid(self, bad):
+        with pytest.raises(ValueError, match="finite|quantum"):
+            tiny_config(**bad)
 
     def test_desk_preset_values(self):
         cfg = desk_preset()
@@ -88,7 +95,7 @@ class TestConfig:
         assert cfg.tx.rolloff == 0.07
         assert cfg.tx.nfl_rel_db == -22.5
         assert cfg.tx.samples_per_symbol == 2
-        assert cfg.precision == "single"
+        assert cfg.dtype is np.complex64
 
 
 class TestRunDataset:
@@ -118,12 +125,15 @@ class TestRunDataset:
         full = tmp_path / "full.csv"
         run_dataset(cfg, full, log=lambda *_: None)
 
-        # keep only the first unit's rows, then resume
-        partial = tmp_path / "partial.csv"
+        # keep only one unit's rows, then resume; the rows come back in the
+        # file's order whichever unit was kept
         rows = estimator.load_rows(full)
-        estimator.save_rows([r for r in rows if r.launch_power_dbm == 0.0], partial)
-        run_dataset(cfg, partial, log=lambda *_: None)
-        assert file_hash(partial) == file_hash(full)
+        for kept_dbm in (0.0, 2.0):
+            partial = tmp_path / f"partial{kept_dbm}.csv"
+            estimator.save_rows([r for r in rows if r.launch_power_dbm == kept_dbm], partial)
+            resumed = run_dataset(cfg, partial, log=lambda *_: None)
+            assert file_hash(partial) == file_hash(full)
+            assert resumed == estimator.load_rows(partial)
 
     def test_rows_carry_truth_and_features(self, tmp_path):
         cfg = tiny_config()
@@ -143,7 +153,7 @@ class TestRunDataset:
         def no_propagation(*args, **kwargs):
             raise AssertionError("a span was propagated before the config error")
 
-        monkeypatch.setattr(experiment, "propagate", no_propagation)
+        monkeypatch.setattr(experiment, "simulate_link", no_propagation)
         with pytest.raises(InfeasiblePerturbationError, match="power=.*delta_A=\\+10"):
             run_dataset(tiny_config(regions=wide_boost_regions()),
                         tmp_path / "a.csv", log=lambda *_: None)
@@ -219,9 +229,10 @@ class TestCli:
         assert len(estimator.load_rows(out)) == 2
 
         trace_path = tmp_path / "trace.csv"
-        assert cli.main(["psd", "--config", str(cfg_path), "--out", str(trace_path),
-                         "--power-dbm", "2", "--spans", "1", "--no-ase"]) == 0
-        assert trace_path.read_text().startswith("freq_hz,psd_w_per_hz")
+        for spans in ("1", "0"):
+            assert cli.main(["psd", "--config", str(cfg_path), "--out", str(trace_path),
+                             "--power-dbm", "2", "--spans", spans, "--no-ase"]) == 0
+            assert trace_path.read_text().startswith("freq_hz,psd_w_per_hz")
 
 
 class TestConfigRegions:

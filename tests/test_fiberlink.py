@@ -38,18 +38,23 @@ def bare_fiber(fld, fiber):
     return SampledField(*stack, fld.sample_rate, fld.center_freq)
 
 
-def noiseless_apsds(ref, regions, deltas_db, power_dbm, fiber, n_spans, dtype):
+def noiseless_apsds(ref, regions, deltas_db, power_dbm, fiber, n_spans, reference=False):
     """(p_ref, p_n) in dB per probe after n_spans of a link with no ASE:
-    only the nonlinear fill (and round-off) reaches the notch."""
+    only the nonlinear fill (and round-off) reaches the notch. The link is
+    simulate_link's, or with reference=True a complex128 stack propagated
+    by hand, which shares no launch code with it."""
     link = LinkConfig(fiber, n_spans, power_dbm, None)
     probes = [apply_perturbation(ref, build_profile(ref, regions, d)) for d in deltas_db]
-    stack = np.concatenate([p.as_matrix() for p in probes]).astype(dtype)
-    stack *= stack.real.dtype.type(math.sqrt(link.launch_power_w / ref.total_power()))
-    list(propagate(stack, ref.sample_rate, (n_spans,), fiber=fiber, amp=link.amp,
-                   carrier_hz=link.center_freq))
-    reports = [measure(SampledField(*stack[2 * i:2 * i + 2].astype(complex),
-                                    ref.sample_rate, link.center_freq), regions, d)
-               for i, d in enumerate(deltas_db)]
+    if reference:
+        stack = np.concatenate([p.as_matrix() for p in probes])
+        stack *= math.sqrt(link.launch_power_w / ref.total_power())
+        list(propagate(stack, ref.sample_rate, (n_spans,), fiber=fiber, amp=link.amp,
+                       carrier_hz=link.center_freq))
+        rx = [SampledField(*stack[i:i + 2], ref.sample_rate, link.center_freq)
+              for i in range(0, len(stack), 2)]
+    else:
+        (_, rx, _), = simulate_link(probes, link, range(len(probes)), (n_spans,))
+    reports = [measure(fld, regions, d) for fld, d in zip(rx, deltas_db)]
     return [(r.p_ref_db, r.p_n_db) for r in reports]
 
 
@@ -84,7 +89,7 @@ class TestPropagateSpan:
         measured = float(np.angle(out.samples_x[0] / cw.samples_x[0]))
         assert measured == pytest.approx(expected, rel=0.005)
         # every lossless step of a CW field applies the same phase
-        (_, _, max_phi), = propagate(cw.as_matrix(), cw.sample_rate, (1,), fiber=fiber)
+        (_, max_phi), = propagate(cw.as_matrix(), cw.sample_rate, (1,), fiber=fiber)
         assert max_phi == pytest.approx(-expected / fiber.steps_per_span, rel=1e-9)
 
     def test_spm_cw_phase_with_loss(self):
@@ -162,55 +167,55 @@ class TestAmplify:
         assert abs(10 * math.log10(a.total_power() / b.total_power())) <= 0.1
 
     def test_quantum_limit_enforced(self):
-        with pytest.raises(ValueError, match="quantum"):
-            AmpParams(gain_db=20.0, nf_db=2.0)
+        for nf_db in (2.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="quantum"):
+                AmpParams(gain_db=20.0, nf_db=nf_db)
 
 
 class TestBatchedEngine:
     def test_stack_matches_fields_run_alone(self, reference, regions):
         # the five probes of a unit share every FFT, yet each one's bytes at
-        # every tap equal those of the same probe propagated alone
-        fiber = FiberParams(span_length_km=2.0, step_km=0.5)
-        amp = LinkConfig(fiber, 2, 6.0, 4.5).amp
-        scale = np.float32(math.sqrt(4e-3))
-        probes = [scale * apply_perturbation(reference, build_profile(reference, regions, d))
-                  .as_matrix().astype(np.complex64) for d in DELTA_GRID_DB]
+        # every tap equal those of the same probe launched alone
+        link = LinkConfig(FiberParams(span_length_km=2.0, step_km=0.5), 2, 6.0, 4.5)
+        probes = [apply_perturbation(reference, build_profile(reference, regions, d))
+                  for d in DELTA_GRID_DB]
         seeds = [101, 202, 303, 404, 505]
-        taps = (1, 2)
+        taps = (0, 1, 2)
 
-        def run(stack, ase_seeds):
-            return {k: out.copy() for k, out, _ in propagate(
-                stack, reference.sample_rate, taps, fiber=fiber, amp=amp,
-                ase_seeds=ase_seeds)}
+        def run(fields, ase_seeds):
+            return {k: [f.as_matrix() for f in rx]
+                    for k, rx, _ in simulate_link(fields, link, ase_seeds, taps)}
 
-        batched = run(np.concatenate(probes), seeds)
+        batched = run(probes, seeds)
         assert sorted(batched) == list(taps)
         for i, probe in enumerate(probes):
-            alone = run(probe.copy(), seeds[i:i + 1])
+            alone = run([probe], seeds[i:i + 1])
             for k in taps:
-                assert np.array_equal(batched[k][2 * i:2 * i + 2], alone[k])
-        assert not np.array_equal(batched[2][:2], probes[0])
+                assert np.array_equal(batched[k][i], alone[k][0])
+        assert not np.array_equal(batched[2][0], batched[0][0])
 
     def test_rejects_missing_ase_seed(self, reference):
         stack = np.zeros((4, len(reference)), np.complex64)
         amp = AmpParams(gain_db=20.0, nf_db=4.5)
         with pytest.raises(ValueError, match="one ASE seed per field"):
             list(propagate(stack, reference.sample_rate, (1,), amp=amp, ase_seeds=(1,)))
+        with pytest.raises(ValueError, match="shorter"):
+            list(simulate_link([reference] * 2, LinkConfig(FiberParams(), 1, 0.0, 4.5), [1], [1]))
 
 
 class TestSimulateLink:
     def test_zero_spans_returns_launch_scaled_input(self, reference):
         link = LinkConfig(FiberParams(), 0, 2.0, 4.5)
-        out = simulate_link(reference, link)
-        assert out.total_power() == pytest.approx(link.launch_power_w, rel=1e-12)
-        scaled = math.sqrt(link.launch_power_w) * reference.samples_x
-        assert np.max(np.abs(out.samples_x - scaled)) <= 1e-9 * np.max(np.abs(scaled))
+        (k, (out,), max_phi), = simulate_link([reference], link, [0], [0])
+        assert (k, max_phi) == (0, 0.0)
+        scale = np.float32(math.sqrt(link.launch_power_w / reference.total_power()))
+        assert np.array_equal(out.as_matrix(), reference.as_matrix().astype(np.complex64) * scale)
 
     def test_linear_regime_decomposition(self, reference, tx_cfg):
         # gamma = 0, one span: received trace is the scaled TX plus flat ASE
         fiber = FiberParams(gamma=0.0, step_km=5.0)
-        link = LinkConfig(fiber, 1, -2.0, 6.0, ase_seed=3)
-        rx = simulate_link(reference, link)
+        link = LinkConfig(fiber, 1, -2.0, 6.0)
+        (_, (rx,), _), = simulate_link([reference], link, [3], [1])
         trace = estimate_psd(rx)
         ase_db = 10 * math.log10(2 * link.amp.ase_psd_per_pol())
         # ASE alone between the signal edge and fs/2
@@ -223,9 +228,9 @@ class TestSimulateLink:
         assert in_band == pytest.approx(expected, abs=0.2)
 
     def test_deterministic_given_seed(self, reference):
-        link = LinkConfig(FiberParams(step_km=2.0), 2, 2.0, 4.5, ase_seed=11)
-        a = simulate_link(reference, link)
-        b = simulate_link(reference, link)
+        link = LinkConfig(FiberParams(step_km=2.0), 2, 2.0, 4.5)
+        (_, (a,), _), = simulate_link([reference], link, [11], [2])
+        (_, (b,), _), = simulate_link([reference], link, [11], [2])
         np.testing.assert_array_equal(a.samples_x, b.samples_x)
 
     def test_ground_truth_consistency(self, reference, regions):
@@ -233,12 +238,12 @@ class TestSimulateLink:
         # the closed-form link budget
         fiber = FiberParams(step_km=0.5)
         pert = apply_perturbation(reference, build_profile(reference, regions, 0.0))
-        link = LinkConfig(fiber, 2, 2.0, 4.5, ase_seed=99)
+        link = LinkConfig(fiber, 2, 2.0, 4.5)
         zero = SampledField(np.zeros(len(reference), complex),
                             np.zeros(len(reference), complex), reference.sample_rate)
-        ase_rx = simulate_link(zero, link, dtype=np.complex64)
+        (_, (ase_rx,), _), = simulate_link([zero], link, [99], [2])
         ase_psd = 10 ** (apsd(estimate_psd(ase_rx), [(-5e9, 5e9)]) / 10)
-        sig_rx = simulate_link(pert, LinkConfig(fiber, 2, 2.0, None), dtype=np.complex64)
+        (_, (sig_rx,), _), = simulate_link([pert], LinkConfig(fiber, 2, 2.0, None), [0], [2])
         measured = 10 * math.log10(
             sig_rx.total_power() / (ase_psd * reference_bandwidth_hz()))
         assert measured == pytest.approx(analytic_osnr(link), abs=0.1)
@@ -298,16 +303,16 @@ class TestInvariants:
         levels = []
         for step in (0.1, 0.05):
             link = LinkConfig(FiberParams(step_km=step), 2, 2.0, None)
-            rx = simulate_link(pert, link, dtype=np.complex64)
+            (_, (rx,), _), = simulate_link([pert], link, [0], [2])
             levels.append(apsd(estimate_psd(rx), list(regions.f_a) + list(regions.f_b)))
         assert abs(levels[0] - levels[1]) < 0.01
 
     def test_preset_step_converges_on_notch(self):
         # the method reads the notch, ~20 dB under the signal: at the desk
-        # preset's own samples/symbol, step and precision its nonlinear fill
-        # must match the same symbols at 4 samples/symbol in complex128 at
-        # 0.1 km steps (desk waveform, no ASE and no tx floor, +6 dBm, the
-        # extreme probes, two 100 km spans)
+        # preset's own samples/symbol and step, through simulate_link, its
+        # nonlinear fill must match the same symbols at 4 samples/symbol in
+        # complex128 at 0.1 km steps (desk waveform, no ASE and no tx floor,
+        # +6 dBm, the extreme probes, two 100 km spans)
         cfg = desk_preset()
         tx = dataclasses.replace(cfg.tx, nfl_rel_db=None)
         tx_fine = dataclasses.replace(tx, samples_per_symbol=4)
@@ -316,10 +321,9 @@ class TestInvariants:
         assert tx.samples_per_symbol < tx_fine.samples_per_symbol
         regions = default_regions(tx)
         deltas = (DELTA_GRID_DB[0], DELTA_GRID_DB[-1])
-        got = noiseless_apsds(generate_reference(tx), regions, deltas, 6.0,
-                              cfg.fiber, 2, cfg.dtype)
+        got = noiseless_apsds(generate_reference(tx), regions, deltas, 6.0, cfg.fiber, 2)
         want = noiseless_apsds(generate_reference(tx_fine), regions, deltas, 6.0,
-                               fine, 2, np.complex128)
+                               fine, 2, reference=True)
         for (p_ref, p_n), (p_ref_fine, p_n_fine) in zip(got, want):
             assert abs(p_n - p_n_fine) <= 0.05
             assert abs(p_ref - p_ref_fine) <= 0.01
@@ -331,14 +335,13 @@ class TestInvariants:
         levels = []
         for step in (0.05, 0.025):
             link = LinkConfig(FiberParams(step_km=step), 10, 2.0, None)
-            rx = simulate_link(pert, link, dtype=np.complex64)
+            (_, (rx,), _), = simulate_link([pert], link, [0], [10])
             levels.append(apsd(estimate_psd(rx), list(regions.f_a) + list(regions.f_b)))
         assert abs(levels[0] - levels[1]) < 0.01
         # and the notch at the desk worst case (+6 dBm, +10 dB probe, 10
         # spans): the preset's step in complex64 against 0.1 km in complex128
         cfg = desk_preset()
-        (_, p_n), = noiseless_apsds(reference, regions, (10.0,), 6.0, cfg.fiber, 10,
-                                    cfg.dtype)
+        (_, p_n), = noiseless_apsds(reference, regions, (10.0,), 6.0, cfg.fiber, 10)
         (_, p_n_fine), = noiseless_apsds(reference, regions, (10.0,), 6.0,
-                                         FiberParams(step_km=0.1), 10, np.complex128)
+                                         FiberParams(step_km=0.1), 10, reference=True)
         assert abs(p_n - p_n_fine) <= 0.05
