@@ -28,7 +28,7 @@ from .fiberlink import (
     propagate,
     simulate_link,
     analytic_osnr,
-    reference_bandwidth_hz,
+    REFERENCE_BANDWIDTH_HZ,
 )
 from .spectrum import PsdTrace, ApsdReport, estimate_psd, apsd, measure
 from .estimator import (

@@ -169,8 +169,7 @@ def _run_unit(cfg: ExperimentConfig, ip: int, inf_: int, ref: SampledField,
     for k, received, max_phi in simulate_link(probes, link, ase_seeds, cfg.spans,
                                               workers=fft_workers):
         for fld, delta_db in zip(received, DELTA_GRID_DB):
-            reports[k].append(measure(fld, regions, delta_db,
-                                      scenario=f"p{power:+g}dBm_nf{nf:g}dB_{k}spans"))
+            reports[k].append(measure(fld, regions, delta_db))
     rows = []
     for spans in cfg.spans:
         truth = analytic_osnr(LinkConfig(cfg.fiber, spans, power, nf))

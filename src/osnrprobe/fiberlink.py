@@ -17,6 +17,10 @@ whether it travels alone or in a stack. The memory cost is the stack itself:
 five probes at 2 samples/symbol in complex64 take 2.6 MB at desk size
 (N = 2^15) and about 21 MB at paper size (N = 2^18). The benchmark has no
 paper-size workload, so that cost is not measured.
+
+The carrier is `field.CARRIER_HZ` throughout: it sets the dispersion
+(`FiberParams.beta2`), the ASE photon energy and the 0.1 nm OSNR reference
+bandwidth `REFERENCE_BANDWIDTH_HZ`. None of them is a parameter.
 """
 
 import math
@@ -28,11 +32,14 @@ import numpy as np
 import scipy.constants as const
 import scipy.fft as sfft
 
-from .field import SampledField, DEFAULT_CARRIER_HZ
+from .field import CARRIER_HZ, SampledField
 
 MANAKOV_FACTOR = 8.0 / 9.0
 NL_PHASE_STEP_LIMIT = 0.05  # rad per step before the accuracy warning fires
 QUANTUM_NF_DB = 10.0 * math.log10(2.0)
+# 0.1 nm OSNR reference bandwidth at the carrier. Keep the operation order:
+# 0.1e-9 in place of 0.1 * 1e-9 moves the last bit, and so truth_osnr_db.
+REFERENCE_BANDWIDTH_HZ = 0.1 * 1e-9 * CARRIER_HZ**2 / const.c
 
 
 @dataclass
@@ -60,9 +67,10 @@ class FiberParams:
         if self.step_km > self.span_length_km:
             raise ValueError("step_km larger than the span")
 
-    def beta2(self, carrier_hz: float) -> float:
+    @property
+    def beta2(self) -> float:
         """Group-velocity dispersion in s^2/m from D at the carrier."""
-        lam = const.c / carrier_hz
+        lam = const.c / CARRIER_HZ
         d_si = self.dispersion_D * 1e-6  # ps/nm/km -> s/m^2
         return -d_si * lam**2 / (2.0 * math.pi * const.c)
 
@@ -83,21 +91,16 @@ class FiberParams:
 
 @dataclass
 class AmpParams:
-    """Constant-gain EDFA; nf_db=None (or -inf) switches ASE off."""
+    """Constant-gain EDFA; nf_db=None switches ASE off."""
 
     gain_db: float
     nf_db: Optional[float] = 4.5
-    center_freq: float = DEFAULT_CARRIER_HZ
 
     def __post_init__(self):
         if not self.gain_db > 0:
             raise ValueError("gain_db must be positive")
-        if self.noisy and not QUANTUM_NF_DB - 1e-9 <= self.nf_db < math.inf:
+        if self.nf_db is not None and not QUANTUM_NF_DB - 1e-9 <= self.nf_db < math.inf:
             raise ValueError(f"nf_db {self.nf_db} not finite or under the quantum limit")
-
-    @property
-    def noisy(self) -> bool:
-        return self.nf_db is not None and self.nf_db != -math.inf
 
     @property
     def gain_linear(self) -> float:
@@ -108,10 +111,10 @@ class AmpParams:
 
         Uses the high-gain spontaneous-emission factor n_sp = NF_lin / 2.
         """
-        if not self.noisy:
+        if self.nf_db is None:
             return 0.0
         n_sp = 10.0 ** (self.nf_db / 10.0) / 2.0
-        return n_sp * const.h * self.center_freq * (self.gain_linear - 1.0)
+        return n_sp * const.h * CARRIER_HZ * (self.gain_linear - 1.0)
 
 
 @dataclass
@@ -122,7 +125,6 @@ class LinkConfig:
     n_spans: int
     launch_power_dbm: float
     nf_db: Optional[float] = 4.5
-    center_freq: float = DEFAULT_CARRIER_HZ
 
     def __post_init__(self):
         if self.n_spans < 0:
@@ -131,7 +133,7 @@ class LinkConfig:
     @property
     def amp(self) -> AmpParams:
         """Span-transparent amplifier: gain pinned to the span loss."""
-        return AmpParams(self.fiber.span_loss_db, self.nf_db, self.center_freq)
+        return AmpParams(self.fiber.span_loss_db, self.nf_db)
 
     @property
     def launch_power_w(self) -> float:
@@ -150,13 +152,13 @@ class _SplitStep:
     nonlinear phase one probe (row pair) at a time through a fixed
     workspace, so a span allocates nothing."""
 
-    def __init__(self, stack: np.ndarray, sample_rate: float, carrier_hz: float,
-                 fiber: FiberParams, workers: int):
+    def __init__(self, stack: np.ndarray, sample_rate: float, fiber: FiberParams,
+                 workers: int):
         n = stack.shape[1]
         self.n_steps = fiber.steps_per_span
         h_km = fiber.span_length_km / self.n_steps
         alpha = fiber.alpha_np_per_km
-        beta2_km = fiber.beta2(carrier_hz) * 1e3  # s^2/km
+        beta2_km = fiber.beta2 * 1e3  # s^2/km
         omega = 2.0 * math.pi * sfft.fftfreq(n, d=1.0 / sample_rate)
 
         # Carrier convention with exp(+i w0 t): SPM phase is negative, so the
@@ -215,7 +217,7 @@ class _SplitStep:
 
 def propagate(stack: np.ndarray, sample_rate: float, taps, *,
               fiber: Optional[FiberParams] = None, amp: Optional[AmpParams] = None,
-              ase_seeds=(), carrier_hz: float = DEFAULT_CARRIER_HZ, workers: int = 2):
+              ase_seeds=(), workers: int = 2):
     """Advance a (2P, N) stack of P dual-polarization fields span by span,
     in place, and yield (k, max_phi) after span k for every k in taps, where
     max_phi is the largest nonlinear phase (rad) that any split step of any
@@ -225,17 +227,18 @@ def propagate(stack: np.ndarray, sample_rate: float, taps, *,
     amplifier or a bare fiber. Rows 2i and 2i+1 hold field i (x, y), and its
     amplifier after span k draws ASE from span_seed(ase_seeds[i], k), so a
     field's bytes are the same whether it travels alone or in a stack.
+    `workers` (FFT threads) stays a parameter: the CLI runs 2, perfbench 1.
     """
     if stack.ndim != 2 or stack.shape[0] % 2:
         raise ValueError("stack must be (2P, N): an x and a y row per field")
-    noisy = amp is not None and amp.noisy
+    noisy = amp is not None and amp.nf_db is not None
     if noisy and len(ase_seeds) != stack.shape[0] // 2:
         raise ValueError(f"need one ASE seed per field, got {len(ase_seeds)} "
                          f"for {stack.shape[0] // 2}")
     taps = {int(k) for k in taps}
     if taps and min(taps) < 1:
         raise ValueError("tap spans must be >= 1")
-    stepper = (_SplitStep(stack, sample_rate, carrier_hz, fiber, workers)
+    stepper = (_SplitStep(stack, sample_rate, fiber, workers)
                if fiber is not None and taps else None)
     if amp is not None:
         gain = stack.real.dtype.type(math.sqrt(amp.gain_linear))
@@ -283,29 +286,23 @@ def simulate_link(fields, link: LinkConfig, ase_seeds, taps, workers: int = 2):
     def received():
         for i in range(0, len(stack), 2):
             yield SampledField(stack[i].astype(complex), stack[i + 1].astype(complex),
-                               fld.sample_rate, link.center_freq)
+                               fld.sample_rate)
 
     if 0 in taps:
         yield 0, received(), 0.0
     for k, max_phi in propagate(stack, fld.sample_rate, [k for k in taps if k],
                                 fiber=link.fiber, amp=link.amp, ase_seeds=ase_seeds,
-                                carrier_hz=link.center_freq, workers=workers):
+                                workers=workers):
         yield k, received(), max_phi
 
 
-def reference_bandwidth_hz(center_freq: float = DEFAULT_CARRIER_HZ,
-                           ref_bw_nm: float = 0.1) -> float:
-    """0.1 nm OSNR reference bandwidth converted to Hz at the carrier."""
-    return ref_bw_nm * 1e-9 * center_freq**2 / const.c
-
-
-def analytic_osnr(link: LinkConfig, ref_bw_nm: float = 0.1) -> float:
+def analytic_osnr(link: LinkConfig) -> float:
     """Ground-truth OSNR in dB: launch power over accumulated dual-pol ASE
-    power in the reference bandwidth."""
+    power in REFERENCE_BANDWIDTH_HZ."""
     if link.n_spans < 1:
         return math.inf
     s_ase = link.amp.ase_psd_per_pol()
     if s_ase == 0.0:
         return math.inf
-    b_ref = reference_bandwidth_hz(link.center_freq, ref_bw_nm)
-    return 10.0 * math.log10(link.launch_power_w / (link.n_spans * 2.0 * s_ase * b_ref))
+    return 10.0 * math.log10(
+        link.launch_power_w / (link.n_spans * 2.0 * s_ase * REFERENCE_BANDWIDTH_HZ))

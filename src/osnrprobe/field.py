@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_CARRIER_HZ = 193.4e12
+CARRIER_HZ = 193.4e12  # the one C-band carrier every layer assumes
 
 
 def _is_smooth(n: int) -> bool:
@@ -29,7 +29,7 @@ class SampledField:
     samples_x: np.ndarray
     samples_y: np.ndarray
     sample_rate: float
-    center_freq: float = DEFAULT_CARRIER_HZ
+    center_freq: float = CARRIER_HZ  # label only: perfbench sets and reads it
 
     def __post_init__(self):
         self.samples_x = np.asarray(self.samples_x)

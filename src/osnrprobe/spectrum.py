@@ -1,11 +1,12 @@
 """Emulated optical spectrum analyzer and average-PSD extraction.
 
 PSDs are Welch estimates of both polarizations summed, then smoothed by a
-unit-area Super-Gaussian kernel that mimics a grating OSA's 150 MHz
-resolution. Average PSD (APSD) over a spectral region is the integral of the
-trace across the region divided by the region width; the notch region is
-integrated over its inner 80% so the OSA's skirts at the region edges are
-discarded.
+unit-area 4th-order Super-Gaussian kernel that mimics a grating OSA's
+150 MHz resolution. Average PSD (APSD) over a spectral region is the
+integral of the trace across the region divided by the region width; the
+notch region is integrated over its inner 80% so the OSA's skirts at the
+region edges are discarded. There is one OSA: its resolution, kernel order
+and notch fraction are module constants, not parameters.
 """
 
 import csv
@@ -21,8 +22,9 @@ from .field import SampledField
 
 MIN_FIELD_SAMPLES = 2**14
 MAX_NATIVE_BIN_HZ = 30e6
-DEFAULT_OSA_RBW_HZ = 150e6
-DEFAULT_SG_ORDER = 4
+OSA_RBW_HZ = 150e6
+SG_ORDER = 4
+NOTCH_INNER_FRACTION = 0.8
 
 
 @dataclass
@@ -30,8 +32,7 @@ class PsdTrace:
     """Frequency-gridded dual-pol PSD after OSA emulation."""
 
     freqs: np.ndarray   # Hz, ascending, uniform
-    psd: np.ndarray     # W/Hz, both polarizations summed
-    rbw: float          # effective resolution bandwidth, Hz
+    psd: np.ndarray     # W/Hz, both polarizations summed, at OSA_RBW_HZ resolution
 
     def __post_init__(self):
         self.freqs = np.asarray(self.freqs, dtype=float)
@@ -55,18 +56,17 @@ class PsdTrace:
                 writer.writerow([repr(float(f)), repr(float(p))])
 
 
-def supergaussian_kernel(df: float, rbw: float = DEFAULT_OSA_RBW_HZ,
-                         order: int = DEFAULT_SG_ORDER) -> np.ndarray:
-    """Discrete unit-sum OSA kernel exp(-(f/f0)^(2m)) with 3 dB full width rbw."""
-    f0 = 0.5 * rbw / math.log(2.0) ** (1.0 / (2 * order))
+def supergaussian_kernel(df: float) -> np.ndarray:
+    """Discrete unit-sum OSA kernel exp(-(f/f0)^(2m)), m = SG_ORDER, with
+    3 dB full width OSA_RBW_HZ."""
+    f0 = 0.5 * OSA_RBW_HZ / math.log(2.0) ** (1.0 / (2 * SG_ORDER))
     m = max(1, math.ceil(2.0 * f0 / df))
     f = np.arange(-m, m + 1) * df
-    k = np.exp(-((np.abs(f) / f0) ** (2 * order)))
+    k = np.exp(-((np.abs(f) / f0) ** (2 * SG_ORDER)))
     return k / k.sum()
 
 
-def estimate_psd(fld: SampledField, rbw: float = DEFAULT_OSA_RBW_HZ,
-                 sg_order: int = DEFAULT_SG_ORDER) -> PsdTrace:
+def estimate_psd(fld: SampledField) -> PsdTrace:
     """Welch-averaged, OSA-smoothed PSD of a dual-polarization field.
 
     The segment is the record halved for as long as the native bin stays
@@ -92,9 +92,9 @@ def estimate_psd(fld: SampledField, rbw: float = DEFAULT_OSA_RBW_HZ,
     order = np.argsort(freqs)
     freqs = freqs[order]
     psd = psd[order]
-    kernel = supergaussian_kernel(float(freqs[1] - freqs[0]), rbw, sg_order)
+    kernel = supergaussian_kernel(float(freqs[1] - freqs[0]))
     smoothed = np.convolve(psd, kernel, mode="same")
-    return PsdTrace(freqs, np.maximum(smoothed, 0.0), rbw)
+    return PsdTrace(freqs, np.maximum(smoothed, 0.0))
 
 
 def apsd(trace: PsdTrace, region: Sequence, inner_fraction: float = 1.0) -> float:
@@ -138,7 +138,6 @@ class ApsdReport:
     p_ref_db: float
     p_n_db: float
     delta_a_db: float
-    scenario: str = ""
 
     def __post_init__(self):
         if not (math.isfinite(self.p_ref_db) and math.isfinite(self.p_n_db)):
@@ -147,11 +146,10 @@ class ApsdReport:
             raise ValueError("reference APSD implausibly far below notch APSD")
 
 
-def measure(fld: SampledField, regions, delta_a_db: float, scenario: str = "",
-            notch_inner_fraction: float = 0.8) -> ApsdReport:
+def measure(fld: SampledField, regions, delta_a_db: float) -> ApsdReport:
     """One OSA measurement: APSD over the reference region (boost bands plus
-    remainder) and over the inner part of the notch."""
+    remainder) and over the inner NOTCH_INNER_FRACTION of the notch."""
     trace = estimate_psd(fld)
     p_ref = apsd(trace, list(regions.f_a) + list(regions.f_b), 1.0)
-    p_n = apsd(trace, regions.f_n, notch_inner_fraction)
-    return ApsdReport(p_ref, p_n, delta_a_db, scenario)
+    p_n = apsd(trace, regions.f_n, NOTCH_INNER_FRACTION)
+    return ApsdReport(p_ref, p_n, delta_a_db)

@@ -51,6 +51,8 @@ class TxConfig:
             raise ValueError("baud_rate must be positive")
         if self.n_symbols < 2:
             raise ValueError("n_symbols must be >= 2")
+        if self.nfl_rel_db is not None and not math.isfinite(self.nfl_rel_db):
+            raise ValueError(f"nfl_rel_db must be finite or None, got {self.nfl_rel_db}")
         if not _is_smooth(self.n_symbols * self.samples_per_symbol):
             raise ValueError(
                 f"grid length {self.n_symbols * self.samples_per_symbol} not "
@@ -256,7 +258,7 @@ def apply_perturbation(fld: SampledField, profile: PerturbationProfile) -> Sampl
     gain[m_n] = math.sqrt(profile.delta_n)
     x = np.fft.ifft(np.fft.fft(fld.samples_x) * gain)
     y = np.fft.ifft(np.fft.fft(fld.samples_y) * gain)
-    return SampledField(x, y, fld.sample_rate, fld.center_freq)
+    return SampledField(x, y, fld.sample_rate)
 
 
 def add_tx_noise_floor(fld: SampledField, cfg: TxConfig, seed) -> SampledField:
@@ -268,7 +270,7 @@ def add_tx_noise_floor(fld: SampledField, cfg: TxConfig, seed) -> SampledField:
     which perturbation leaves unchanged, so the floor is the same for every
     profile.
     """
-    if cfg.nfl_rel_db is None or cfg.nfl_rel_db == -math.inf:
+    if cfg.nfl_rel_db is None:
         return fld.copy()
     lo, hi = -cfg.boi_halfwidth, cfg.boi_halfwidth
     n = len(fld)
@@ -291,4 +293,4 @@ def add_tx_noise_floor(fld: SampledField, cfg: TxConfig, seed) -> SampledField:
         draws = rng.standard_normal((2, int(boi.sum())))
         spec[boi] = amp * (draws[0] + 1j * draws[1])
         out.append(samples + np.fft.ifft(spec))
-    return SampledField(out[0], out[1], fld.sample_rate, fld.center_freq)
+    return SampledField(out[0], out[1], fld.sample_rate)

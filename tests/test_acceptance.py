@@ -18,12 +18,12 @@ from osnrprobe import estimator, experiment
 from osnrprobe.estimator import DELTA_GRID_DB, Dataset, FeatureRow, fit_least_squares
 from osnrprobe.field import SampledField
 from osnrprobe.fiberlink import (
+    REFERENCE_BANDWIDTH_HZ,
     AmpParams,
     FiberParams,
     LinkConfig,
     analytic_osnr,
     propagate,
-    reference_bandwidth_hz,
     simulate_link,
 )
 from osnrprobe.margin import MarginQuery, perturbed_snr
@@ -48,8 +48,8 @@ def report(name, detail):
 def bare_fiber(fld, fiber):
     """One bare fiber span (no amplifier) through the engine."""
     stack = fld.as_matrix()
-    list(propagate(stack, fld.sample_rate, (1,), fiber=fiber, carrier_hz=fld.center_freq))
-    return SampledField(*stack, fld.sample_rate, fld.center_freq)
+    list(propagate(stack, fld.sample_rate, (1,), fiber=fiber))
+    return SampledField(*stack, fld.sample_rate)
 
 
 def ase_only(n, fs, link, ase_seed):
@@ -75,8 +75,7 @@ class TestPhysicsOracles:
             mean = np.sum(t * p) / np.sum(p)
             return math.sqrt(np.sum((t - mean) ** 2 * p) / np.sum(p))
 
-        expected = math.sqrt(
-            1.0 + (fiber.beta2(fld.center_freq) * 25e3 / t0_pulse**2) ** 2)
+        expected = math.sqrt(1.0 + (fiber.beta2 * 25e3 / t0_pulse**2) ** 2)
         ratio = rms(out.samples_x) / rms(fld.samples_x)
         assert ratio == pytest.approx(expected, rel=0.01)
 
@@ -136,7 +135,7 @@ class TestPhysicsOracles:
         ase_psd = 10 ** (apsd(estimate_psd(ase_rx), [(-5e9, 5e9)]) / 10)
         (_, (sig_rx,), _), = simulate_link([ref], LinkConfig(fiber, 2, 2.0, None), [0], [2])
         osnr_meas = 10 * math.log10(
-            sig_rx.total_power() / (ase_psd * reference_bandwidth_hz()))
+            sig_rx.total_power() / (ase_psd * REFERENCE_BANDWIDTH_HZ))
         assert osnr_meas == pytest.approx(analytic_osnr(link), abs=0.1)
         report("4 ASE density + OSNR truth",
                f"S_ASE dev {max(abs(d) for d in dev_db):.3f} dB, "
@@ -180,7 +179,7 @@ class TestMethodProperties:
                 rx = ase_only(grid_len, fs, link, seed)
                 trace = estimate_psd(rx)
                 acc = trace.psd if acc is None else acc + trace.psd
-            avg = PsdTrace(trace.freqs, acc / n_avg, trace.rbw)
+            avg = PsdTrace(trace.freqs, acc / n_avg)
             levels.append(apsd(avg, regions.f_n, 0.8))
         spread = max(levels) - min(levels)
         assert spread <= 0.05

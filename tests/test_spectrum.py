@@ -19,7 +19,7 @@ from osnrprobe.waveform import TxConfig, apply_perturbation, build_profile, gene
 
 def flat_trace(level=1e-15, n=2001, span=100e9):
     freqs = np.linspace(-span / 2, span / 2, n)
-    return PsdTrace(freqs, np.full(n, level), 150e6)
+    return PsdTrace(freqs, np.full(n, level))
 
 
 class TestEstimatePsd:
@@ -85,7 +85,7 @@ class TestEstimatePsd:
     def test_kernel_width(self):
         # value at +-75 MHz off center must be half the peak (3 dB full width)
         df = 1e6
-        kernel = supergaussian_kernel(df=df, rbw=150e6, order=4)
+        kernel = supergaussian_kernel(df=df)
         center = len(kernel) // 2
         assert kernel[center + 75] / kernel[center] == pytest.approx(0.5, rel=1e-6)
 
@@ -154,9 +154,9 @@ class TestNlnMetric:
 class TestTypes:
     def test_trace_validation(self):
         with pytest.raises(ValueError, match="non-negative"):
-            PsdTrace(np.array([0.0, 1.0]), np.array([1.0, -1.0]), 150e6)
+            PsdTrace(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
         with pytest.raises(ValueError, match="increasing"):
-            PsdTrace(np.array([1.0, 0.0]), np.array([1.0, 1.0]), 150e6)
+            PsdTrace(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
 
     def test_trace_csv(self, tmp_path):
         trace = flat_trace(n=11)

@@ -164,17 +164,10 @@ class TestNoiseFloor:
         cfg = TxConfig(n_symbols=2**14, nfl_rel_db=None)
         out = add_tx_noise_floor(reference, cfg, 1)
         np.testing.assert_array_equal(out.samples_x, reference.samples_x)
-
-    def test_notch_floor_level(self):
-        # back-to-back: the notch contains only the transmitter noise floor
-        cfg = TxConfig(n_symbols=2**15, seed=7)
-        ref = generate_reference(cfg)
-        regions = default_regions(cfg)
-        pert = apply_perturbation(ref, build_profile(ref, regions, 10.0))
-        noisy = add_tx_noise_floor(pert, cfg, 123)
-        in_band = apsd(estimate_psd(ref), [regions.f_boi])
-        floor = apsd(estimate_psd(noisy), regions.f_n, 0.8)
-        assert floor - in_band == pytest.approx(-22.5, abs=0.2)
+        # None is the only way to say "off"
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="nfl_rel_db"):
+                TxConfig(n_symbols=2**14, nfl_rel_db=bad)
 
     def test_two_seeds_same_power_different_noise(self, reference, tx_cfg):
         a = add_tx_noise_floor(reference, tx_cfg, 1)
