@@ -11,7 +11,8 @@ from . import estimator, margin
 from .experiment import PRESETS, ExperimentConfig, _nfl_seed, run_dataset
 from .fiberlink import LinkConfig, simulate_link
 from .spectrum import estimate_psd
-from .waveform import add_tx_noise_floor, apply_perturbation, build_profile, generate_reference
+from .waveform import (TxConfig, add_tx_noise_floor, apply_perturbation, build_profile,
+                       default_regions, generate_reference)
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -41,15 +42,11 @@ def cmd_dataset(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    dataset = estimator.Dataset.from_csv(args.dataset, args.osnr_cap_db)
-    if args.mode == "cv":
-        report, folds = estimator.cross_validate(dataset, args.folds)
-        coeffs = estimator.fit_least_squares(dataset)  # final model on all rows
-    else:
-        coeffs = estimator.fit_least_squares(dataset)
-        report = estimator.evaluate(dataset, coeffs)
+    dataset = estimator.Dataset.from_csv(args.dataset)
+    report, _ = estimator.cross_validate(dataset)
+    coeffs = estimator.fit_least_squares(dataset)  # final model on all rows
     coeffs.save(args.coeffs)
-    summary = {"mode": args.mode, **report.as_dict(), "coefficients": coeffs.as_dict()}
+    summary = {**report.as_dict(), "coefficients": coeffs.as_dict()}
     print(json.dumps(summary, indent=2))
     if args.report:
         report.save_csv(args.report)
@@ -57,7 +54,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    dataset = estimator.Dataset.from_csv(args.dataset, args.osnr_cap_db)
+    dataset = estimator.Dataset.from_csv(args.dataset)
     coeffs = estimator.FitCoefficients.load(args.coeffs)
     report = estimator.evaluate(dataset, coeffs)
     print(json.dumps(report.as_dict(), indent=2))
@@ -72,7 +69,7 @@ def cmd_margin(args) -> int:
                          f"step {args.snr_step_db:g}, {args.snr_min_db:g}..{args.snr_max_db:g}")
     snr_grid = np.arange(args.snr_min_db, args.snr_max_db + 1e-9, args.snr_step_db)
     rows = margin.margin_curve(
-        args.baud_rate,
+        TxConfig.baud_rate,
         [b * 1e9 for b in args.bwd_ghz],
         [float(s) for s in snr_grid],
     )
@@ -84,7 +81,7 @@ def cmd_margin(args) -> int:
 def cmd_psd(args) -> int:
     cfg = _load_config(args)
     ref = generate_reference(cfg.tx)
-    profile = build_profile(ref, cfg.region_set(), args.delta_db)
+    profile = build_profile(ref, default_regions(cfg.tx), args.delta_db)
     tx = add_tx_noise_floor(apply_perturbation(ref, profile), cfg.tx, _nfl_seed(cfg, 0, 0, 0))
     link = LinkConfig(cfg.fiber, args.spans, args.power_dbm, None if args.no_ase else args.nf_db)
     (_, (rx,), _), = simulate_link([tx], link, [cfg.seed], [args.spans])
@@ -115,22 +112,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit OSNR coefficients from a dataset CSV")
     p.add_argument("--dataset", required=True)
     p.add_argument("--coeffs", required=True, help="output coefficients JSON")
-    p.add_argument("--mode", choices=("cv", "fit-all"), default="cv")
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--osnr-cap-db", type=float, default=estimator.DEFAULT_OSNR_CAP_DB)
-    p.add_argument("--report", help="optional per-row predictions CSV")
+    p.add_argument("--report", help="optional per-row held-out predictions CSV")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("eval", help="score saved coefficients against a dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--coeffs", required=True)
-    p.add_argument("--osnr-cap-db", type=float, default=estimator.DEFAULT_OSNR_CAP_DB)
     p.add_argument("--report", help="optional per-row predictions CSV")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("margin", help="export the probe-bandwidth SNR penalty table")
     p.add_argument("--out", required=True)
-    p.add_argument("--baud-rate", type=float, default=56.8e9)
     p.add_argument("--bwd-ghz", type=float, nargs="+",
                    default=[b / 1e9 for b in margin.DEFAULT_PROBE_BANDWIDTHS_HZ])
     p.add_argument("--snr-min-db", type=float, default=0.0)

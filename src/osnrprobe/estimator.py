@@ -4,7 +4,9 @@ Each scenario contributes one feature row: the reference-region APSD of the
 strongest attenuation probe plus the notch APSDs of all five probes. OSNR in
 dB is modeled as an affine function of those six numbers; coefficients come
 from a least-squares fit against the analytic ground truth, restricted to
-scenarios at or below the 30 dB cap where the notch still carries signal.
+scenarios at or below the 30 dB cap where the notch still carries signal,
+and are scored by 5-fold cross-validation. The cap and the fold count are
+module constants, not parameters.
 """
 
 import csv
@@ -20,7 +22,8 @@ import scipy.linalg
 from .spectrum import ApsdReport
 
 DELTA_GRID_DB = (-10.0, -5.0, 0.0, 5.0, 10.0)
-DEFAULT_OSNR_CAP_DB = 30.0
+OSNR_CAP_DB = 30.0
+N_FOLDS = 5
 
 FEATURE_NAMES = (
     "intercept",
@@ -131,7 +134,7 @@ class FitCoefficients:
 
 @dataclass
 class Dataset:
-    """Feature rows and the OSNR cap that selects the ones fitted and scored.
+    """Feature rows, of which those at or below OSNR_CAP_DB are fitted and scored.
 
     Rows whose ground truth exceeds the OSNR cap take no part in fitting or
     scoring; at very high OSNR the notch bottoms out on the transmitter noise
@@ -139,14 +142,13 @@ class Dataset:
     """
 
     rows: list
-    osnr_cap_db: float = DEFAULT_OSNR_CAP_DB
 
     def capped(self) -> list:
-        return [r for r in self.rows if r.truth_osnr_db <= self.osnr_cap_db]
+        return [r for r in self.rows if r.truth_osnr_db <= OSNR_CAP_DB]
 
     @classmethod
-    def from_csv(cls, path, osnr_cap_db: float = DEFAULT_OSNR_CAP_DB) -> "Dataset":
-        return cls(load_rows(path), osnr_cap_db)
+    def from_csv(cls, path) -> "Dataset":
+        return cls(load_rows(path))
 
 
 def in_file_order(rows) -> list:
@@ -273,39 +275,38 @@ def evaluate(data: Dataset, coeffs: FitCoefficients) -> EvalReport:
                      r.n_spans, r.nf_db) for r in rows])
 
 
-def kfold_by_spans(dataset: Dataset, n_folds: int = 5, seed: int = 0):
-    """Scenario-level folds stratified by span count.
+def kfold_by_spans(dataset: Dataset):
+    """N_FOLDS scenario-level folds stratified by span count, shuffled with
+    seed 0.
 
     Yields (train_idx, test_idx) pairs covering every row exactly once on
     the test side.
     """
-    if n_folds < 2:
-        raise ValueError(f"need n_folds >= 2 to hold rows out, got {n_folds}")
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xF01D)))
+    rng = np.random.default_rng(np.random.SeedSequence((0, 0xF01D)))
     by_spans = {}
     for i, row in enumerate(dataset.rows):
         by_spans.setdefault(row.n_spans, []).append(i)
-    folds = [[] for _ in range(n_folds)]
+    folds = [[] for _ in range(N_FOLDS)]
     for spans in sorted(by_spans):
         idx = np.array(by_spans[spans])
         rng.shuffle(idx)
         for j, i in enumerate(idx):
-            folds[j % n_folds].append(int(i))
-    for k in range(n_folds):
+            folds[j % N_FOLDS].append(int(i))
+    for k in range(N_FOLDS):
         test = sorted(folds[k])
         train = sorted(i for j, f in enumerate(folds) if j != k for i in f)
         yield np.array(train), np.array(test)
 
 
-def cross_validate(dataset: Dataset, n_folds: int = 5, seed: int = 0):
+def cross_validate(dataset: Dataset):
     """Held-out evaluation: fit on each fold's complement, score the fold,
     pool residuals. Returns (EvalReport, list of per-fold coefficients)."""
     def part(idx):
-        return Dataset([dataset.rows[i] for i in idx], dataset.osnr_cap_db)
+        return Dataset([dataset.rows[i] for i in idx])
 
     records = []
     all_coeffs = []
-    for train, test in kfold_by_spans(dataset, n_folds, seed):
+    for train, test in kfold_by_spans(dataset):
         coeffs = fit_least_squares(part(train))
         all_coeffs.append(coeffs)
         records += evaluate(part(test), coeffs).records

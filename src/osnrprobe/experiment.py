@@ -3,9 +3,9 @@
 A dataset run sweeps the (launch power, span count, noise figure) grid; for
 every scenario the five probe spectra are synthesized, propagated, and
 measured, producing one feature row. The reference waveform and the five
-probe profiles (one per boost of `estimator.DELTA_GRID_DB`) are built once
-per run, before any propagation, so an infeasible boost fails in
-milliseconds. Scenarios sharing launch power and NF differ only in span
+probe profiles (one per boost of `estimator.DELTA_GRID_DB`, on the one
+probe geometry `waveform.default_regions`) are built once per run, before
+any propagation. Scenarios sharing launch power and NF differ only in span
 count, so each (power, NF) work unit launches its five probes as one
 (10, N) stack through `fiberlink.simulate_link` once up to the largest span
 count, measuring every probe at each requested intermediate count.
@@ -20,7 +20,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -28,26 +27,25 @@ from . import estimator
 from .estimator import DELTA_GRID_DB, build_feature_row
 from .field import SampledField
 from .fiberlink import AmpParams, FiberParams, LinkConfig, analytic_osnr, simulate_link
-from .spectrum import measure
-from .waveform import (InfeasiblePerturbationError, RegionSet, TxConfig,
-                       add_tx_noise_floor, apply_perturbation, build_profile,
+from .spectrum import MIN_FIELD_SAMPLES, measure
+from .waveform import (TxConfig, add_tx_noise_floor, apply_perturbation, build_profile,
                        default_regions, generate_reference)
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 @dataclass
 class ExperimentConfig:
     """Everything a dataset run needs, JSON round-trippable. Every field
-    changes the simulated rows; the probe grid is `DELTA_GRID_DB` and the
-    OSNR cap is the estimator's, set when fitting."""
+    changes the simulated rows; the signal, the probe geometry, the probe
+    grid and the OSNR cap are constants. A record too short to measure or a
+    grid that repeats a value is rejected here, before anything propagates."""
 
     tx: TxConfig = field(default_factory=TxConfig)
     fiber: FiberParams = field(default_factory=FiberParams)
     powers_dbm: tuple = (-2.0, 0.0, 2.0, 4.0, 6.0)
     spans: tuple = tuple(range(1, 31))
     nf_dbs: tuple = (4.5, 5.5, 6.5, 7.5)
-    regions: Optional[RegionSet] = None   # default probe geometry when None
     seed: int = 1234
 
     def __post_init__(self):
@@ -56,17 +54,22 @@ class ExperimentConfig:
         self.nf_dbs = tuple(float(v) for v in self.nf_dbs)
         if not (self.powers_dbm and self.spans and self.nf_dbs):
             raise ValueError("all scenario grids must be non-empty")
+        for name in ("powers_dbm", "spans", "nf_dbs"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} repeats a value: {list(values)}")
         if min(self.spans) < 1:
             raise ValueError("span counts must be >= 1")
         if not all(math.isfinite(p) for p in self.powers_dbm):
             raise ValueError(f"launch powers must be finite, got {list(self.powers_dbm)} dBm")
         for nf in self.nf_dbs:
             AmpParams(self.fiber.span_loss_db, nf)
+        n = self.tx.n_symbols * self.tx.samples_per_symbol
+        if n < MIN_FIELD_SAMPLES:
+            raise ValueError(f"record of {n} samples too short for PSD estimation "
+                             f"(needs >= {MIN_FIELD_SAMPLES})")
 
     dtype = np.complex64  # not a field: perfbench reads it; simulate_link always runs complex64
-
-    def region_set(self) -> RegionSet:
-        return self.regions if self.regions is not None else default_regions(self.tx)
 
     def to_json(self, path=None) -> str:
         doc = {
@@ -76,7 +79,6 @@ class ExperimentConfig:
             "powers_dbm": list(self.powers_dbm),
             "spans": list(self.spans),
             "nf_dbs": list(self.nf_dbs),
-            "regions": asdict(self.regions) if self.regions is not None else None,
             "seed": self.seed,
         }
         text = json.dumps(doc, indent=2) + "\n"
@@ -96,8 +98,6 @@ class ExperimentConfig:
             raise ValueError(f"unsupported config schema_version {version!r}")
         doc["tx"] = TxConfig(**doc["tx"])
         doc["fiber"] = FiberParams(**doc["fiber"])
-        if doc.get("regions") is not None:
-            doc["regions"] = RegionSet(**doc["regions"])
         return cls(**doc)
 
 
@@ -138,28 +138,13 @@ def _scenario_key(power: float, nf: float, spans: int):
     return (repr(float(power)), repr(float(nf)), int(spans))
 
 
-def _probe_profiles(cfg: ExperimentConfig, ref: SampledField) -> list:
-    """One profile per boost of DELTA_GRID_DB; raises before any propagation
-    if a boost is infeasible for the configured regions."""
-    regions = cfg.region_set()
-    profiles = []
-    for delta_db in DELTA_GRID_DB:
-        try:
-            profiles.append(build_profile(ref, regions, delta_db))
-        except InfeasiblePerturbationError as exc:
-            raise InfeasiblePerturbationError(
-                f"every scenario (power={list(cfg.powers_dbm)} dBm, "
-                f"nf={list(cfg.nf_dbs)} dB) delta_A={delta_db:+g} dB: {exc}") from exc
-    return profiles
-
-
 def _run_unit(cfg: ExperimentConfig, ip: int, inf_: int, ref: SampledField,
               profiles: list, fft_workers: int):
     """Simulate all probes of one (power, NF) pair as one stack; return its
     rows and the largest nonlinear phase of any split step (rad)."""
     power = cfg.powers_dbm[ip]
     nf = cfg.nf_dbs[inf_]
-    regions = cfg.region_set()
+    regions = default_regions(cfg.tx)
     link = LinkConfig(cfg.fiber, max(cfg.spans), power, nf)
     probes = (add_tx_noise_floor(apply_perturbation(ref, profile), cfg.tx,
                                  _nfl_seed(cfg, ip, inf_, idelta))
@@ -187,7 +172,8 @@ def run_dataset(cfg: ExperimentConfig, out_path, workers: int = 1,
     """
     out_path = Path(out_path)
     ref = generate_reference(cfg.tx)
-    profiles = _probe_profiles(cfg, ref)
+    regions = default_regions(cfg.tx)
+    profiles = [build_profile(ref, regions, delta_db) for delta_db in DELTA_GRID_DB]
     grid_keys = {_scenario_key(p, nf, s) for p in cfg.powers_dbm
                  for nf in cfg.nf_dbs for s in cfg.spans}
     rows_by_key = {}

@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
 
+from osnrprobe.field import SampledField
+from osnrprobe.fiberlink import propagate
 from osnrprobe.waveform import TxConfig, default_regions, generate_reference
+
+H_PLANCK = 6.62607015e-34
+
+
+def bare_fiber(fld, fiber):
+    """One bare fiber span (no amplifier) through the engine."""
+    stack = fld.as_matrix()
+    list(propagate(stack, fld.sample_rate, (1,), fiber=fiber))
+    return SampledField(*stack, fld.sample_rate)
 
 
 def pytest_addoption(parser):

@@ -37,19 +37,13 @@ from osnrprobe.waveform import (
     generate_reference,
 )
 
-H_PLANCK = 6.62607015e-34
+from conftest import H_PLANCK, bare_fiber
+
 DESK_DATASET = Path(__file__).resolve().parents[1] / "data" / "desk_dataset.csv"
 
 
 def report(name, detail):
     print(f"ACCEPTANCE {name}: PASS ({detail})")
-
-
-def bare_fiber(fld, fiber):
-    """One bare fiber span (no amplifier) through the engine."""
-    stack = fld.as_matrix()
-    list(propagate(stack, fld.sample_rate, (1,), fiber=fiber))
-    return SampledField(*stack, fld.sample_rate)
 
 
 def ase_only(n, fs, link, ase_seed):
@@ -228,7 +222,7 @@ class TestEstimatorCriteria:
             feats = np.array([1.0, -135 + rng.normal(0, 2), *(-152 + rng.normal(0, 3, 5))])
             rows.append(FeatureRow(feats[1], tuple(feats[2:]), float(feats @ true_k),
                                    float(i % 5), 1 + i % 7, 4.5))
-        coeffs = fit_least_squares(Dataset(rows, osnr_cap_db=math.inf))
+        coeffs = fit_least_squares(Dataset(rows))
         rel = np.max(np.abs(coeffs.values - true_k) / np.abs(true_k))
         assert rel <= 1e-8
         report("9 exact-model recovery", f"max relative coefficient error {rel:.1e}")

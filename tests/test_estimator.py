@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 from osnrprobe.estimator import (
     CSV_COLUMNS,
     DELTA_GRID_DB,
+    N_FOLDS,
+    OSNR_CAP_DB,
     Dataset,
     FeatureRow,
     FitCoefficients,
@@ -22,7 +22,7 @@ from osnrprobe.estimator import (
 )
 from osnrprobe.spectrum import ApsdReport
 
-TRUE_K = np.array([40.0, 0.8, -0.5, 0.3, -0.2, 0.15, 0.55])
+TRUE_K = np.array([40.0, 0.8, -0.5, 0.3, -0.2, 0.15, 0.55])  # truths near -113 dB
 
 
 def synthetic_rows(n=60, seed=0, coeffs=TRUE_K, noise_db=0.0):
@@ -69,21 +69,23 @@ class TestBuildFeatureRow:
 
 class TestFit:
     def test_exact_model_recovery(self):
-        data = Dataset(synthetic_rows(), osnr_cap_db=math.inf)
+        data = Dataset(synthetic_rows())
         coeffs = fit_least_squares(data)
         np.testing.assert_allclose(coeffs.values, TRUE_K, rtol=1e-8)
 
     def test_cap_removes_high_osnr_rows(self):
-        rows = synthetic_rows()
-        cap = float(np.median([r.truth_osnr_db for r in rows]))
-        capped = fit_least_squares(Dataset(rows, osnr_cap_db=cap))
-        manual = fit_least_squares(
-            Dataset([r for r in rows if r.truth_osnr_db <= cap], osnr_cap_db=math.inf))
+        # truths spread about 3 dB around the 30 dB cap
+        rows = synthetic_rows(n=80, coeffs=TRUE_K + [143.0, 0, 0, 0, 0, 0, 0], noise_db=0.3)
+        below = [r for r in rows if r.truth_osnr_db <= OSNR_CAP_DB]
+        assert 7 <= len(below) < len(rows)
+        capped = fit_least_squares(Dataset(rows))
+        manual = fit_least_squares(Dataset(below))
         np.testing.assert_array_equal(capped.values, manual.values)
+        assert evaluate(Dataset(rows), capped).n_rows == len(below)
 
     def test_too_few_rows(self):
         with pytest.raises(ValueError, match="training rows"):
-            fit_least_squares(Dataset(synthetic_rows(n=5), osnr_cap_db=math.inf))
+            fit_least_squares(Dataset(synthetic_rows(n=5)))
 
     def test_rank_deficiency_names_columns(self):
         # a linear-regime dataset: every notch APSD pinned to the same floor
@@ -94,7 +96,7 @@ class TestFit:
             rows.append(FeatureRow(p_ref, (-150.0,) * 5, 20.0 + p_ref * 0.1,
                                    2.0, 10, 4.5))
         with pytest.raises(RankDeficientError, match=r"p_n"):
-            fit_least_squares(Dataset(rows, osnr_cap_db=math.inf))
+            fit_least_squares(Dataset(rows))
 
 
 class TestPredict:
@@ -105,7 +107,7 @@ class TestPredict:
 
     def test_training_rows_reproduced(self):
         rows = synthetic_rows()
-        coeffs = fit_least_squares(Dataset(rows, osnr_cap_db=math.inf))
+        coeffs = fit_least_squares(Dataset(rows))
         for row in rows[:10]:
             assert predict_osnr(coeffs, row) == pytest.approx(row.truth_osnr_db,
                                                               abs=1e-8)
@@ -130,28 +132,28 @@ class TestPredict:
 class TestEvaluate:
     def test_perfect_predictions(self):
         rows = synthetic_rows()
-        coeffs = fit_least_squares(Dataset(rows, osnr_cap_db=math.inf))
-        report = evaluate(Dataset(rows, osnr_cap_db=math.inf), coeffs)
+        coeffs = fit_least_squares(Dataset(rows))
+        report = evaluate(Dataset(rows), coeffs)
         assert report.rmse_db == pytest.approx(0.0, abs=1e-8)
         assert report.n_rows == len(rows)
 
     def test_constant_offset(self):
         rows = synthetic_rows()
         shifted = FitCoefficients(TRUE_K + np.array([1.0, 0, 0, 0, 0, 0, 0]))
-        report = evaluate(Dataset(rows, osnr_cap_db=math.inf), shifted)
+        report = evaluate(Dataset(rows), shifted)
         assert report.rmse_db == pytest.approx(1.0, abs=1e-9)
         assert report.bias_db == pytest.approx(1.0, abs=1e-9)
         assert report.max_abs_error_db == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_test_set(self):
-        rows = synthetic_rows(n=8)
-        data = Dataset(rows, osnr_cap_db=-math.inf)
+        rows = synthetic_rows(n=8, coeffs=TRUE_K + [200.0, 0, 0, 0, 0, 0, 0])
+        assert min(r.truth_osnr_db for r in rows) > OSNR_CAP_DB
         with pytest.raises(ValueError, match="no test rows"):
-            evaluate(data, FitCoefficients(TRUE_K))
+            evaluate(Dataset(rows), FitCoefficients(TRUE_K))
 
     def test_report_csv(self, tmp_path):
         rows = synthetic_rows(n=10)
-        report = evaluate(Dataset(rows, osnr_cap_db=math.inf), FitCoefficients(TRUE_K))
+        report = evaluate(Dataset(rows), FitCoefficients(TRUE_K))
         path = tmp_path / "report.csv"
         report.save_csv(path)
         header = path.read_text().splitlines()[0]
@@ -162,26 +164,23 @@ class TestSplits:
     def test_kfold_partitions_rows(self):
         data = Dataset(synthetic_rows(n=57))
         seen = []
-        for train, test in kfold_by_spans(data, 5):
+        for train, test in kfold_by_spans(data):
             assert not set(train) & set(test)
             seen.extend(test)
         assert sorted(seen) == list(range(57))
-        for n_folds in (0, 1):
-            with pytest.raises(ValueError, match="n_folds >= 2"):
-                list(kfold_by_spans(data, n_folds))
 
     def test_kfold_stratifies_spans(self):
         data = Dataset(synthetic_rows(n=60))
-        for train, test in kfold_by_spans(data, 5):
+        for train, test in kfold_by_spans(data):
             spans = {data.rows[i].n_spans for i in test}
             assert len(spans) >= 5  # every fold samples most span counts
 
     def test_cross_validate_pools_everything(self):
         rows = synthetic_rows(noise_db=0.3)
-        data = Dataset(rows, osnr_cap_db=math.inf)
-        report, fold_coeffs = cross_validate(data, 5)
+        data = Dataset(rows)
+        report, fold_coeffs = cross_validate(data)
         assert report.n_rows == len(rows)
-        assert len(fold_coeffs) == 5
+        assert len(fold_coeffs) == N_FOLDS
         assert 0.0 < report.rmse_db < 1.0
 
 
@@ -213,7 +212,7 @@ class TestFitOptimality:
     def test_no_single_coefficient_improvement(self):
         # at the LS optimum, nudging any coefficient cannot reduce training SSE
         rows = synthetic_rows(noise_db=0.5, seed=9)
-        data = Dataset(rows, osnr_cap_db=math.inf)
+        data = Dataset(rows)
         coeffs = fit_least_squares(data)
         x = np.array([r.features() for r in data.capped()])
         y = np.array([r.truth_osnr_db for r in data.capped()])

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from osnrprobe.experiment import (
     run_dataset,
 )
 from osnrprobe.fiberlink import FiberParams
-from osnrprobe.waveform import InfeasiblePerturbationError, RegionSet, TxConfig
+from osnrprobe.waveform import InfeasiblePerturbationError, TxConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def tiny_config(**overrides):
@@ -27,16 +31,6 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
-
-
-def wide_boost_regions():
-    """A 10 GHz boost band around the carrier: with the tiny_config
-    transmitter it holds K_A = 0.174 of the power, so the +10 dB probe
-    needs more than the waveform carries while -10..+5 dB stay feasible."""
-    half = tiny_config().tx.boi_halfwidth
-    return RegionSet(f_a=[(-5e9, 5e9)], f_n=[(12e9, 14e9)],
-                     f_b=[(-half, -5e9), (5e9, 12e9), (14e9, half)],
-                     f_boi=(-half, half))
 
 
 def file_hash(path):
@@ -53,11 +47,14 @@ class TestConfig:
     def test_rejects_unknown_schema(self):
         doc = json.loads(tiny_config().to_json())
         # a version 1 document carried the probe grid and the OSNR cap,
-        # version 2 the propagation precision
+        # version 2 the propagation precision, version 3 the probe geometry
+        # and the signal's baud rate and roll-off
         v1 = dict(doc, schema_version=1, delta_a_grid_db=list(DELTA_GRID_DB),
                   osnr_cap_db=30.0)
         v2 = dict(doc, schema_version=2, precision="single")
-        for bad in (dict(doc, schema_version=99), v1, v2):
+        v3 = dict(doc, schema_version=3, regions=None,
+                  tx=dict(doc["tx"], baud_rate=56.8e9, rolloff=0.07))
+        for bad in (dict(doc, schema_version=99), v1, v2, v3):
             with pytest.raises(ValueError, match="schema_version"):
                 ExperimentConfig.from_json(json.dumps(bad))
 
@@ -72,10 +69,17 @@ class TestConfig:
             tiny_config(powers_dbm=())
 
     @pytest.mark.parametrize("bad", [dict(powers_dbm=(math.nan,)), dict(powers_dbm=(math.inf,)),
-                                     dict(nf_dbs=(math.nan,)), dict(nf_dbs=(2.0,))])
+                                     dict(nf_dbs=(math.nan,)), dict(nf_dbs=(2.0,)),
+                                     dict(powers_dbm=(2.0, 2.0)), dict(nf_dbs=(4.5, 5.5, 4.5)),
+                                     dict(spans=(1, 2, 1))])
     def test_rejects_non_physical_grid(self, bad):
-        with pytest.raises(ValueError, match="finite|quantum"):
+        # a repeated value would simulate one scenario twice under two seeds
+        with pytest.raises(ValueError, match="finite|quantum|repeats"):
             tiny_config(**bad)
+
+    def test_rejects_record_too_short_to_measure(self):
+        with pytest.raises(ValueError, match="8192 samples too short"):
+            tiny_config(tx=TxConfig(n_symbols=2**12, seed=5))
 
     def test_desk_preset_values(self):
         cfg = desk_preset()
@@ -144,19 +148,16 @@ class TestRunDataset:
         for row in rows:
             assert row.p_ref_db > max(row.p_n_db)  # notch sits below the carrier
 
-    def test_infeasible_boost_reports_scenario(self, tmp_path):
-        cfg = tiny_config(regions=wide_boost_regions())
-        with pytest.raises(InfeasiblePerturbationError, match="power=.*delta_A=\\+10"):
-            run_dataset(cfg, tmp_path / "rows.csv", log=lambda *_: None)
-
     def test_bad_probe_grid_fails_before_propagation(self, tmp_path, monkeypatch):
+        # a +20 dB boost needs K_A < 0.01; the probe geometry carries ~0.035
         def no_propagation(*args, **kwargs):
             raise AssertionError("a span was propagated before the config error")
 
         monkeypatch.setattr(experiment, "simulate_link", no_propagation)
-        with pytest.raises(InfeasiblePerturbationError, match="power=.*delta_A=\\+10"):
-            run_dataset(tiny_config(regions=wide_boost_regions()),
-                        tmp_path / "a.csv", log=lambda *_: None)
+        monkeypatch.setattr(experiment, "DELTA_GRID_DB", (-10.0, -5.0, 0.0, 5.0, 20.0))
+        with pytest.raises(InfeasiblePerturbationError, match="K_A\\*delta_A"):
+            run_dataset(tiny_config(), tmp_path / "a.csv", log=lambda *_: None)
+        assert not (tmp_path / "a.csv").exists()
 
 
 class TestCli:
@@ -171,7 +172,7 @@ class TestCli:
                 cli.main(["margin", "--out", str(tmp_path / "bad.csv"), *bad])
         assert not (tmp_path / "bad.csv").exists()
 
-    def test_fit_and_eval_commands(self, tmp_path):
+    def test_fit_and_eval_commands(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         coeffs_true = np.array([40.0, 0.8, -0.5, 0.3, -0.2, 0.15, 0.55])
         rows = []
@@ -185,17 +186,31 @@ class TestCli:
         coeffs_path = tmp_path / "coeffs.json"
         report_path = tmp_path / "pred.csv"
         assert cli.main(["fit", "--dataset", str(data_path), "--coeffs",
-                         str(coeffs_path), "--mode", "fit-all",
-                         "--osnr-cap-db", "inf"]) == 0
-        assert coeffs_path.exists()
-        for folds in ("0", "1"):
-            with pytest.raises(ValueError, match="n_folds >= 2"):
-                cli.main(["fit", "--dataset", str(data_path), "--coeffs",
-                          str(tmp_path / "cv.json"), "--folds", folds])
+                         str(coeffs_path)]) == 0
+        np.testing.assert_allclose(estimator.FitCoefficients.load(coeffs_path).values,
+                                   coeffs_true, rtol=1e-8)
+        capsys.readouterr()
         assert cli.main(["eval", "--dataset", str(data_path), "--coeffs",
-                         str(coeffs_path), "--osnr-cap-db", "inf",
-                         "--report", str(report_path)]) == 0
+                         str(coeffs_path), "--report", str(report_path)]) == 0
+        in_sample = json.loads(capsys.readouterr().out)
+        assert in_sample["n_rows"] == 40 and in_sample["rmse_db"] < 1e-8
         assert report_path.read_text().startswith("truth_osnr_db,")
+
+    def test_readme_commands_parse(self):
+        # every `osnrprobe ...` line of README's shell blocks, with its
+        # backslash continuations joined, must be a command the CLI accepts
+        blocks = README.read_text().split("```bash\n")[1:]
+        commands = [shlex.split(line, comments=True)[1:]
+                    for block in blocks
+                    for line in block.split("```")[0].replace("\\\n", " ").splitlines()
+                    if line.startswith("osnrprobe ")]
+        assert len(commands) >= 5
+        parser = cli.build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: osnrprobe {shlex.join(argv)}")
 
     def test_dataset_command_prints_cv_summary(self, tmp_path, monkeypatch, capsys):
         rng = np.random.default_rng(1)
@@ -233,25 +248,6 @@ class TestCli:
             assert cli.main(["psd", "--config", str(cfg_path), "--out", str(trace_path),
                              "--power-dbm", "2", "--spans", spans, "--no-ase"]) == 0
             assert trace_path.read_text().startswith("freq_hz,psd_w_per_hz")
-
-
-class TestConfigRegions:
-    def test_explicit_regions_roundtrip(self, tmp_path):
-        from osnrprobe.waveform import RegionSet
-
-        half = 0.5 * 1.07 * 56.8e9
-        custom = RegionSet(
-            f_a=[(10e9, 11e9), (15e9, 16e9)],
-            f_n=[(12e9, 14e9)],
-            f_b=[(-half, 10e9), (11e9, 12e9), (14e9, 15e9), (16e9, half)],
-            f_boi=(-half, half),
-        )
-        cfg = tiny_config(regions=custom)
-        path = tmp_path / "cfg.json"
-        cfg.to_json(path)
-        back = ExperimentConfig.from_json(path)
-        assert back.regions == custom
-        assert back == cfg
 
 
 class TestWorkers:

@@ -125,7 +125,7 @@ class TestApsd:
         assert got == pytest.approx(10 * math.log10(level), abs=1e-9)
 
 
-class TestNlnMetric:
+class TestMeasure:
     def test_linear_link_floor_exceeds_40db(self):
         cfg = TxConfig(n_symbols=2**13, seed=7, nfl_rel_db=None)
         ref = generate_reference(cfg)

@@ -120,8 +120,8 @@ class TestApplyPerturbation:
             f_b=[(-half, 11e9), (12e9, 14e9), (15e9, half)],
             f_boi=(-half, half),
         )
-        k_a, k_b, k_n = power_fractions(reference, no_notch)
-        profile = PerturbationProfile(1.0, 1.0, 1.0, no_notch, k_a, k_b, k_n)
+        k_a, k_b, _ = power_fractions(reference, no_notch)
+        profile = PerturbationProfile(1.0, 1.0, no_notch, k_a, k_b)
         out = apply_perturbation(reference, profile)
         scale = np.max(np.abs(reference.samples_x))
         assert np.max(np.abs(out.samples_x - reference.samples_x)) <= 1e-12 * scale
@@ -156,7 +156,7 @@ class TestApplyPerturbation:
 
     def test_profile_invariant_enforced(self, regions):
         with pytest.raises(InfeasiblePerturbationError, match="not conserved"):
-            PerturbationProfile(10.0, 1.0, 0.0, regions, 0.0352, 0.9296, 0.0352)
+            PerturbationProfile(10.0, 1.0, regions, 0.0352, 0.9296)
 
 
 class TestNoiseFloor:
