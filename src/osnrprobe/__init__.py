@@ -23,7 +23,6 @@ from .waveform import (
 )
 from .fiberlink import (
     FiberParams,
-    AmpParams,
     LinkConfig,
     propagate,
     simulate_link,
@@ -43,7 +42,7 @@ from .estimator import (
     evaluate,
     cross_validate,
 )
-from .margin import MarginQuery, perturbed_snr, margin_curve
+from .margin import perturbed_snr, margin_curve
 from .experiment import ExperimentConfig, desk_preset, paper_preset, run_dataset
 
 __version__ = "0.1.0"

@@ -11,8 +11,8 @@ from . import estimator, margin
 from .experiment import PRESETS, ExperimentConfig, _nfl_seed, run_dataset
 from .fiberlink import LinkConfig, simulate_link
 from .spectrum import estimate_psd
-from .waveform import (TxConfig, add_tx_noise_floor, apply_perturbation, build_profile,
-                       default_regions, generate_reference)
+from .waveform import (add_tx_noise_floor, apply_perturbation, build_profile, default_regions,
+                       generate_reference)
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -68,11 +68,7 @@ def cmd_margin(args) -> int:
         raise ValueError("need --snr-step-db > 0 and --snr-max-db >= --snr-min-db, got "
                          f"step {args.snr_step_db:g}, {args.snr_min_db:g}..{args.snr_max_db:g}")
     snr_grid = np.arange(args.snr_min_db, args.snr_max_db + 1e-9, args.snr_step_db)
-    rows = margin.margin_curve(
-        TxConfig.baud_rate,
-        [b * 1e9 for b in args.bwd_ghz],
-        [float(s) for s in snr_grid],
-    )
+    rows = margin.margin_curve([b * 1e9 for b in args.bwd_ghz], [float(s) for s in snr_grid])
     margin.save_margin_csv(rows, args.out)
     print(f"wrote {len(rows)} margin points to {args.out}")
     return 0

@@ -18,7 +18,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ import numpy as np
 from . import estimator
 from .estimator import DELTA_GRID_DB, build_feature_row
 from .field import SampledField
-from .fiberlink import AmpParams, FiberParams, LinkConfig, analytic_osnr, simulate_link
+from .fiberlink import FiberParams, LinkConfig, analytic_osnr, simulate_link
 from .spectrum import MIN_FIELD_SAMPLES, measure
 from .waveform import (TxConfig, add_tx_noise_floor, apply_perturbation, build_profile,
                        default_regions, generate_reference)
@@ -38,8 +38,9 @@ SCHEMA_VERSION = 4
 class ExperimentConfig:
     """Everything a dataset run needs, JSON round-trippable. Every field
     changes the simulated rows; the signal, the probe geometry, the probe
-    grid and the OSNR cap are constants. A record too short to measure or a
-    grid that repeats a value is rejected here, before anything propagates."""
+    grid and the OSNR cap are constants. A record too short to measure, a
+    lossless fiber or a grid that repeats a value is rejected here, before
+    anything propagates."""
 
     tx: TxConfig = field(default_factory=TxConfig)
     fiber: FiberParams = field(default_factory=FiberParams)
@@ -62,8 +63,11 @@ class ExperimentConfig:
             raise ValueError("span counts must be >= 1")
         if not all(math.isfinite(p) for p in self.powers_dbm):
             raise ValueError(f"launch powers must be finite, got {list(self.powers_dbm)} dBm")
+        if not self.fiber.span_loss_db > 0:
+            raise ValueError(f"span loss must be positive, got {self.fiber.span_loss_db:g} dB: "
+                             "each EDFA restores it, so a lossless span adds no ASE")
         for nf in self.nf_dbs:
-            AmpParams(self.fiber.span_loss_db, nf)
+            LinkConfig(self.fiber, 1, 0.0, nf)  # rejects a noise figure under the quantum limit
         n = self.tx.n_symbols * self.tx.samples_per_symbol
         if n < MIN_FIELD_SAMPLES:
             raise ValueError(f"record of {n} samples too short for PSD estimation "
@@ -96,9 +100,18 @@ class ExperimentConfig:
         version = doc.pop("schema_version", None)
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported config schema_version {version!r}")
-        doc["tx"] = TxConfig(**doc["tx"])
-        doc["fiber"] = FiberParams(**doc["fiber"])
-        return cls(**doc)
+        doc["tx"] = TxConfig(**_known_keys(TxConfig, doc["tx"], "tx"))
+        doc["fiber"] = FiberParams(**_known_keys(FiberParams, doc["fiber"], "fiber"))
+        return cls(**_known_keys(cls, doc, "config"))
+
+
+def _known_keys(kind, doc: dict, where: str) -> dict:
+    """doc, once every key in it is a field of the dataclass `kind`."""
+    unknown = sorted(set(doc) - {f.name for f in fields(kind)})
+    if unknown:
+        raise ValueError(f"unknown {where} key(s) {unknown} for schema_version "
+                         f"{SCHEMA_VERSION}")
+    return doc
 
 
 def desk_preset() -> ExperimentConfig:
@@ -141,7 +154,9 @@ def _scenario_key(power: float, nf: float, spans: int):
 def _run_unit(cfg: ExperimentConfig, ip: int, inf_: int, ref: SampledField,
               profiles: list, fft_workers: int):
     """Simulate all probes of one (power, NF) pair as one stack; return its
-    rows and the largest nonlinear phase of any split step (rad)."""
+    rows, the largest nonlinear phase of any split step (rad) and its wall
+    time (s)."""
+    started = time.monotonic()
     power = cfg.powers_dbm[ip]
     nf = cfg.nf_dbs[inf_]
     regions = default_regions(cfg.tx)
@@ -159,7 +174,7 @@ def _run_unit(cfg: ExperimentConfig, ip: int, inf_: int, ref: SampledField,
     for spans in cfg.spans:
         truth = analytic_osnr(LinkConfig(cfg.fiber, spans, power, nf))
         rows.append(build_feature_row(reports[spans], truth, (power, spans, nf)))
-    return rows, max_phi
+    return rows, max_phi, time.monotonic() - started
 
 
 def run_dataset(cfg: ExperimentConfig, out_path, workers: int = 1,
@@ -211,27 +226,24 @@ def run_dataset(cfg: ExperimentConfig, out_path, workers: int = 1,
         log("dataset already complete; no simulations to run")
         return estimator.in_file_order(rows_by_key.values())
 
-    def unit_done(n, ip, inf_, max_phi, what):
-        log(f"[{n}/{len(units)}] power={cfg.powers_dbm[ip]:+g} dBm "
-            f"nf={cfg.nf_dbs[inf_]:g} dB {what}; {cfg.fiber.steps_per_span} "
-            f"steps/span, max nonlinear phase {max_phi:.3g} rad/step")
+    def results():
+        """_run_unit's result per unit, in the order the units finish."""
+        if workers <= 1:
+            for ip, inf_ in units:
+                yield _run_unit(cfg, ip, inf_, ref, profiles, fft_workers)
+            return
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_run_unit, cfg, ip, inf_, ref, profiles, fft_workers)
+                       for ip, inf_ in units]
+            for fut in as_completed(futures):
+                yield fut.result()
 
     started = time.monotonic()
-    if workers <= 1:
-        for n, (ip, inf_) in enumerate(units, 1):
-            t0 = time.monotonic()
-            unit_rows, max_phi = _run_unit(cfg, ip, inf_, ref, profiles, fft_workers)
-            store(unit_rows)
-            unit_done(n, ip, inf_, max_phi, f"done in {time.monotonic() - t0:.1f}s")
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_run_unit, cfg, ip, inf_, ref, profiles,
-                                   fft_workers): (ip, inf_)
-                       for ip, inf_ in units}
-            for n, fut in enumerate(as_completed(futures), 1):
-                ip, inf_ = futures[fut]
-                unit_rows, max_phi = fut.result()
-                store(unit_rows)
-                unit_done(n, ip, inf_, max_phi, "collected")
+    for n, (unit_rows, max_phi, seconds) in enumerate(results(), 1):
+        store(unit_rows)
+        log(f"[{n}/{len(units)}] power={unit_rows[0].launch_power_dbm:+g} dBm "
+            f"nf={unit_rows[0].nf_db:g} dB done in {seconds:.1f}s; "
+            f"{cfg.fiber.steps_per_span} steps/span, max nonlinear phase "
+            f"{max_phi:.3g} rad/step")
     log(f"dataset complete: {len(rows_by_key)} rows in {time.monotonic() - started:.0f}s")
     return estimator.in_file_order(rows_by_key.values())

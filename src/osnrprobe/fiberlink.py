@@ -2,9 +2,10 @@
 
 The dual-polarization field is advanced with a symmetric split-step scheme:
 half-step linear operator (dispersion + loss) in the frequency domain, full
-nonlinear phase rotation at the step midpoint, half-step linear. After each
-span a constant-gain amplifier restores the span loss and injects white ASE,
-so the ASE density never depends on the loaded spectrum.
+nonlinear phase rotation at the step midpoint, half-step linear. The link
+has one span model, `LinkConfig`: every span is the fiber followed by an
+EDFA whose gain equals the span loss and which injects white ASE, so the
+ASE density never depends on the loaded spectrum.
 
 `simulate_link` is the one launch path, in complex64, and `propagate` the
 one propagation engine under it. `propagate` advances a (2P, N) stack that
@@ -90,36 +91,10 @@ class FiberParams:
 
 
 @dataclass
-class AmpParams:
-    """Constant-gain EDFA; nf_db=None switches ASE off."""
-
-    gain_db: float
-    nf_db: Optional[float] = 4.5
-
-    def __post_init__(self):
-        if not self.gain_db > 0:
-            raise ValueError("gain_db must be positive")
-        if self.nf_db is not None and not QUANTUM_NF_DB - 1e-9 <= self.nf_db < math.inf:
-            raise ValueError(f"nf_db {self.nf_db} not finite or under the quantum limit")
-
-    @property
-    def gain_linear(self) -> float:
-        return 10.0 ** (self.gain_db / 10.0)
-
-    def ase_psd_per_pol(self) -> float:
-        """One-sided ASE density n_sp*h*nu*(G-1) per polarization, W/Hz.
-
-        Uses the high-gain spontaneous-emission factor n_sp = NF_lin / 2.
-        """
-        if self.nf_db is None:
-            return 0.0
-        n_sp = 10.0 ** (self.nf_db / 10.0) / 2.0
-        return n_sp * const.h * CARRIER_HZ * (self.gain_linear - 1.0)
-
-
-@dataclass
 class LinkConfig:
-    """One transmission scenario: fiber, amplifier, launch power, span count."""
+    """One transmission scenario: n_spans spans, each the fiber followed by
+    an EDFA whose gain restores the span loss, at one launch power. The
+    EDFA adds white ASE of noise figure nf_db; nf_db=None switches it off."""
 
     fiber: FiberParams
     n_spans: int
@@ -129,15 +104,28 @@ class LinkConfig:
     def __post_init__(self):
         if self.n_spans < 0:
             raise ValueError("n_spans must be >= 0")
-
-    @property
-    def amp(self) -> AmpParams:
-        """Span-transparent amplifier: gain pinned to the span loss."""
-        return AmpParams(self.fiber.span_loss_db, self.nf_db)
+        if self.nf_db is not None and not QUANTUM_NF_DB - 1e-9 <= self.nf_db < math.inf:
+            raise ValueError(f"nf_db {self.nf_db} not finite or under the quantum limit")
 
     @property
     def launch_power_w(self) -> float:
         return 10.0 ** (self.launch_power_dbm / 10.0) * 1e-3
+
+    @property
+    def gain_linear(self) -> float:
+        """EDFA power gain: the span loss, so every span is transparent."""
+        return 10.0 ** (self.fiber.span_loss_db / 10.0)
+
+    def ase_psd_per_pol(self) -> float:
+        """One-sided ASE density n_sp*h*nu*(G-1) of one EDFA per
+        polarization, W/Hz; 0 with nf_db=None.
+
+        Uses the high-gain spontaneous-emission factor n_sp = NF_lin / 2.
+        """
+        if self.nf_db is None:
+            return 0.0
+        n_sp = 10.0 ** (self.nf_db / 10.0) / 2.0
+        return n_sp * const.h * CARRIER_HZ * (self.gain_linear - 1.0)
 
 
 def span_seed(ase_seed: int, span_idx: int) -> np.random.SeedSequence:
@@ -215,53 +203,49 @@ class _SplitStep:
         return max_phi
 
 
-def propagate(stack: np.ndarray, sample_rate: float, taps, *,
-              fiber: Optional[FiberParams] = None, amp: Optional[AmpParams] = None,
-              ase_seeds=(), workers: int = 2):
-    """Advance a (2P, N) stack of P dual-polarization fields span by span,
-    in place, and yield (k, max_phi) after span k for every k in taps, where
-    max_phi is the largest nonlinear phase (rad) that any split step of any
-    field has applied up to span k.
+def propagate(stack: np.ndarray, sample_rate: float, link: LinkConfig, ase_seeds, taps,
+              workers: int = 2):
+    """Advance a (2P, N) stack of P dual-polarization fields over `link`,
+    span by span, in place, and yield (k, max_phi) after span k for every k
+    in taps (each in 1..link.n_spans), where max_phi is the largest
+    nonlinear phase (rad) that any split step of any field has applied up
+    to span k.
 
-    A span is `fiber` followed by `amp`; leave either out for a bare
-    amplifier or a bare fiber. Rows 2i and 2i+1 hold field i (x, y), and its
-    amplifier after span k draws ASE from span_seed(ase_seeds[i], k), so a
+    A span is the fiber, the EDFA gain that restores its loss, then, unless
+    link.nf_db is None, ASE. Rows 2i and 2i+1 hold field i (x, y), and the
+    EDFA after span k draws its ASE from span_seed(ase_seeds[i], k), so a
     field's bytes are the same whether it travels alone or in a stack.
     `workers` (FFT threads) stays a parameter: the CLI runs 2, perfbench 1.
     """
     if stack.ndim != 2 or stack.shape[0] % 2:
         raise ValueError("stack must be (2P, N): an x and a y row per field")
-    noisy = amp is not None and amp.nf_db is not None
-    if noisy and len(ase_seeds) != stack.shape[0] // 2:
+    if len(ase_seeds) != stack.shape[0] // 2:
         raise ValueError(f"need one ASE seed per field, got {len(ase_seeds)} "
                          f"for {stack.shape[0] // 2}")
     taps = {int(k) for k in taps}
-    if taps and min(taps) < 1:
-        raise ValueError("tap spans must be >= 1")
-    stepper = (_SplitStep(stack, sample_rate, fiber, workers)
-               if fiber is not None and taps else None)
-    if amp is not None:
-        gain = stack.real.dtype.type(math.sqrt(amp.gain_linear))
-        sigma = math.sqrt(amp.ase_psd_per_pol() * sample_rate / 2.0)
+    if not taps <= set(range(1, link.n_spans + 1)):
+        raise ValueError(f"tap spans {sorted(taps)} outside the link's "
+                         f"1..{link.n_spans}")
+    stepper = _SplitStep(stack, sample_rate, link.fiber, workers)
+    gain = stack.real.dtype.type(math.sqrt(link.gain_linear))
+    sigma = math.sqrt(link.ase_psd_per_pol() * sample_rate / 2.0)
     max_phi = 0.0
     for k in range(max(taps, default=0)):
-        if stepper is not None:
-            span_phi = stepper.span(stack)
-            max_phi = max(max_phi, span_phi)
-            if span_phi > NL_PHASE_STEP_LIMIT:
-                warnings.warn(
-                    f"max nonlinear phase {span_phi:.3g} rad/step exceeds "
-                    f"{NL_PHASE_STEP_LIMIT}; reduce step_km for trustworthy accuracy",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        if amp is not None:
-            stack *= gain
-            if noisy:
-                for i, seed in enumerate(ase_seeds):
-                    noise = np.random.default_rng(span_seed(seed, k)).standard_normal(
-                        (2, 2, stack.shape[1]))
-                    stack[2 * i:2 * i + 2] += sigma * (noise[0] + 1j * noise[1])
+        span_phi = stepper.span(stack)
+        max_phi = max(max_phi, span_phi)
+        if span_phi > NL_PHASE_STEP_LIMIT:
+            warnings.warn(
+                f"max nonlinear phase {span_phi:.3g} rad/step exceeds "
+                f"{NL_PHASE_STEP_LIMIT}; reduce step_km for trustworthy accuracy",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        stack *= gain
+        if link.nf_db is not None:
+            for i, seed in enumerate(ase_seeds):
+                noise = np.random.default_rng(span_seed(seed, k)).standard_normal(
+                    (2, 2, stack.shape[1]))
+                stack[2 * i:2 * i + 2] += sigma * (noise[0] + 1j * noise[1])
         if k + 1 in taps:
             yield k + 1, max_phi
 
@@ -271,9 +255,9 @@ def simulate_link(fields, link: LinkConfig, ase_seeds, taps, workers: int = 2):
     stack, field i scaled by float32(sqrt(P_launch / total_power)) (an
     all-zero field stays zero) and amplified with ASE from ase_seeds[i];
     propagate it over `link` and yield (k, received, max_phi) after span k
-    for every k in taps (0 is the launch). `received` reads the fields back
-    one at a time as complex128 `SampledField`s from the live stack: consume
-    it before the next tap."""
+    for every k in taps (0 is the launch, the rest in 1..link.n_spans).
+    `received` reads the fields back one at a time as complex128
+    `SampledField`s from the live stack: consume it before the next tap."""
     stack = None
     for i, (fld, _) in enumerate(zip(fields, ase_seeds, strict=True)):
         if stack is None:
@@ -290,9 +274,8 @@ def simulate_link(fields, link: LinkConfig, ase_seeds, taps, workers: int = 2):
 
     if 0 in taps:
         yield 0, received(), 0.0
-    for k, max_phi in propagate(stack, fld.sample_rate, [k for k in taps if k],
-                                fiber=link.fiber, amp=link.amp, ase_seeds=ase_seeds,
-                                workers=workers):
+    for k, max_phi in propagate(stack, fld.sample_rate, link, ase_seeds,
+                                [k for k in taps if k], workers):
         yield k, received(), max_phi
 
 
@@ -301,7 +284,7 @@ def analytic_osnr(link: LinkConfig) -> float:
     power in REFERENCE_BANDWIDTH_HZ."""
     if link.n_spans < 1:
         return math.inf
-    s_ase = link.amp.ase_psd_per_pol()
+    s_ase = link.ase_psd_per_pol()
     if s_ase == 0.0:
         return math.inf
     return 10.0 * math.log10(

@@ -7,34 +7,26 @@ Shannon capacities of the full and reduced bands.
 
 import csv
 import math
-from dataclasses import dataclass
 from typing import Sequence
+
+from .waveform import TxConfig
 
 DEFAULT_PROBE_BANDWIDTHS_HZ = (0.5e9, 1e9, 2e9, 4e9, 5.68e9)
 
 
-@dataclass
-class MarginQuery:
-    snr_linear: float
-    baud_rate: float
-    probe_bandwidth: float
-
-    def __post_init__(self):
-        if self.snr_linear < 0:
-            raise ValueError("snr_linear must be >= 0")
-        if not 0 <= self.probe_bandwidth < self.baud_rate:
-            raise ValueError("probe bandwidth must satisfy 0 <= bwd < baud rate")
-
-
-def perturbed_snr(query: MarginQuery) -> float:
-    """Linear SNR that keeps capacity unchanged on the reduced band:
-    (1 + SNR)^(B / (B - bwd)) - 1."""
-    exponent = query.baud_rate / (query.baud_rate - query.probe_bandwidth)
-    return (1.0 + query.snr_linear) ** exponent - 1.0
+def perturbed_snr(snr_linear: float, probe_bandwidth: float) -> float:
+    """Linear SNR that keeps capacity unchanged when probe_bandwidth (Hz) of
+    the one signal's baud rate B is given up: (1 + SNR)^(B / (B - bwd)) - 1."""
+    baud_rate = TxConfig.baud_rate
+    if snr_linear < 0:
+        raise ValueError("snr_linear must be >= 0")
+    if not 0 <= probe_bandwidth < baud_rate:
+        raise ValueError(f"probe bandwidth must satisfy 0 <= bwd < baud rate {baud_rate:g} Hz, "
+                         f"got {probe_bandwidth:g} Hz")
+    return (1.0 + snr_linear) ** (baud_rate / (baud_rate - probe_bandwidth)) - 1.0
 
 
-def margin_curve(baud_rate: float,
-                 probe_bandwidths: Sequence[float] = DEFAULT_PROBE_BANDWIDTHS_HZ,
+def margin_curve(probe_bandwidths: Sequence[float] = DEFAULT_PROBE_BANDWIDTHS_HZ,
                  snr_db_grid: Sequence[float] = tuple(range(0, 31))) -> list:
     """Penalty table (snr_db, bwd_pert_hz, penalty_db) for plotting.
 
@@ -45,7 +37,7 @@ def margin_curve(baud_rate: float,
     for bwd in probe_bandwidths:
         for snr_db in snr_db_grid:
             snr = 10.0 ** (snr_db / 10.0)
-            snr_prime = perturbed_snr(MarginQuery(snr, baud_rate, bwd))
+            snr_prime = perturbed_snr(snr, bwd)
             if snr > 0:
                 penalty = 10.0 * math.log10(snr_prime) - 10.0 * math.log10(snr)
             else:

@@ -153,20 +153,21 @@ class PerturbationProfile:
             )
 
 
-def rrc_spectrum(freqs: np.ndarray, baud_rate: float, rolloff: float) -> np.ndarray:
-    """Raised-cosine power spectrum (unit mid-band level) on a frequency grid.
+def rrc_spectrum(freqs: np.ndarray) -> np.ndarray:
+    """Raised-cosine power spectrum (unit mid-band level) of the one signal
+    (`TxConfig.baud_rate`, `TxConfig.rolloff`) on a frequency grid.
 
     This is the analytic |shaping filter|^2; integrating it over a region and
-    dividing by baud_rate gives the fraction of signal power in that region.
+    dividing by the baud rate gives the fraction of signal power in that region.
     """
+    baud_rate, rolloff = TxConfig.baud_rate, TxConfig.rolloff
     f = np.abs(np.asarray(freqs, dtype=float))
     flat_edge = 0.5 * (1.0 - rolloff) * baud_rate
     stop_edge = 0.5 * (1.0 + rolloff) * baud_rate
     out = np.zeros_like(f)
     out[f <= flat_edge] = 1.0
-    if rolloff > 0:
-        t = (f > flat_edge) & (f < stop_edge)
-        out[t] = 0.5 * (1.0 + np.cos(np.pi / (rolloff * baud_rate) * (f[t] - flat_edge)))
+    t = (f > flat_edge) & (f < stop_edge)
+    out[t] = 0.5 * (1.0 + np.cos(np.pi / (rolloff * baud_rate) * (f[t] - flat_edge)))
     return out
 
 
@@ -180,8 +181,7 @@ def generate_reference(cfg: TxConfig) -> SampledField:
     """
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xD9)))
     n = cfg.n_symbols * cfg.samples_per_symbol
-    shaping = np.sqrt(rrc_spectrum(np.fft.fftfreq(n, 1.0 / cfg.sample_rate),
-                                   cfg.baud_rate, cfg.rolloff))
+    shaping = np.sqrt(rrc_spectrum(np.fft.fftfreq(n, 1.0 / cfg.sample_rate)))
     pols = []
     for _ in range(2):
         symbols = QPSK_POINTS[rng.integers(0, 4, cfg.n_symbols)]

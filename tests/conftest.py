@@ -2,16 +2,20 @@ import numpy as np
 import pytest
 
 from osnrprobe.field import SampledField
-from osnrprobe.fiberlink import propagate
+from osnrprobe.fiberlink import FiberParams, LinkConfig, propagate
 from osnrprobe.waveform import TxConfig, default_regions, generate_reference
 
 H_PLANCK = 6.62607015e-34
+# One linear step over the default 100 km span (20 dB): it maps zeros to
+# exact zeros, so a zero field comes out as one EDFA's ASE alone.
+LINEAR_STEP = FiberParams(gamma=0.0, step_km=100.0)
 
 
-def bare_fiber(fld, fiber):
-    """One bare fiber span (no amplifier) through the engine."""
+def one_span(fld, fiber, nf_db=None, ase_seed=0):
+    """fld, in its own precision, after one span of `fiber` and its EDFA,
+    whose gain restores the span loss; no ASE with nf_db=None."""
     stack = fld.as_matrix()
-    list(propagate(stack, fld.sample_rate, (1,), fiber=fiber))
+    list(propagate(stack, fld.sample_rate, LinkConfig(fiber, 1, 0.0, nf_db), (ase_seed,), (1,)))
     return SampledField(*stack, fld.sample_rate)
 
 

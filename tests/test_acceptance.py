@@ -19,14 +19,12 @@ from osnrprobe.estimator import DELTA_GRID_DB, Dataset, FeatureRow, fit_least_sq
 from osnrprobe.field import SampledField
 from osnrprobe.fiberlink import (
     REFERENCE_BANDWIDTH_HZ,
-    AmpParams,
     FiberParams,
     LinkConfig,
     analytic_osnr,
-    propagate,
     simulate_link,
 )
-from osnrprobe.margin import MarginQuery, perturbed_snr
+from osnrprobe.margin import perturbed_snr
 from osnrprobe.spectrum import PsdTrace, apsd, estimate_psd, measure
 from osnrprobe.waveform import (
     TxConfig,
@@ -37,7 +35,7 @@ from osnrprobe.waveform import (
     generate_reference,
 )
 
-from conftest import H_PLANCK, bare_fiber
+from conftest import H_PLANCK, LINEAR_STEP, one_span
 
 DESK_DATASET = Path(__file__).resolve().parents[1] / "data" / "desk_dataset.csv"
 
@@ -62,7 +60,7 @@ class TestPhysicsOracles:
                            np.zeros(n, complex), fs)
         fiber = FiberParams(dispersion_D=16.7, gamma=0.0, alpha_db_per_km=0.0,
                             span_length_km=25.0, step_km=1.0)
-        out = bare_fiber(fld, fiber)
+        out = one_span(fld, fiber)
 
         def rms(x):
             p = np.abs(x) ** 2
@@ -89,7 +87,7 @@ class TestPhysicsOracles:
                           np.zeros(2048, complex), 10e9)
         fiber = FiberParams(dispersion_D=0.0, gamma=1.3, alpha_db_per_km=0.0,
                             span_length_km=length, step_km=0.1)
-        out = bare_fiber(cw, fiber)
+        out = one_span(cw, fiber)
         expected = -(8.0 / 9.0) * 1.3 * power * length
         measured = float(np.angle(out.samples_x[0] / cw.samples_x[0]))
         assert measured == pytest.approx(expected, rel=0.005)
@@ -102,18 +100,15 @@ class TestPhysicsOracles:
                            0.03 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)),
                            40e9)
         fiber = FiberParams(alpha_db_per_km=0.0, span_length_km=10.0, step_km=0.5)
-        out = bare_fiber(fld, fiber)
+        out = one_span(fld, fiber)
         rel = abs(out.total_power() - fld.total_power()) / fld.total_power()
         assert rel <= 1e-9
         report("3 lossless span", f"relative power change {rel:.2e}")
 
     def test_c4_ase_density_and_osnr_ground_truth(self):
-        amp = AmpParams(gain_db=20.0, nf_db=4.5)
-        expected = (10**0.45 / 2) * H_PLANCK * 193.4e12 * 99.0
+        expected = (10**0.45 / 2) * H_PLANCK * 193.4e12 * 99.0  # NF 4.5 dB, G = 100
         zero = SampledField(np.zeros(2**16, complex), np.zeros(2**16, complex), 170.4e9)
-        stack = zero.as_matrix()
-        list(propagate(stack, zero.sample_rate, (1,), amp=amp, ase_seeds=(42,)))
-        noise = SampledField(*stack, zero.sample_rate)
+        noise = one_span(zero, LINEAR_STEP, 4.5, 42)
         dev_db = []
         for pol in (noise.samples_x, noise.samples_y):
             measured = np.mean(np.abs(pol) ** 2) / 170.4e9
@@ -156,7 +151,7 @@ class TestMethodProperties:
         grid_len = cfg.n_symbols * cfg.samples_per_symbol
         fs = cfg.sample_rate
         regions = default_regions(cfg)
-        link = LinkConfig(FiberParams(step_km=100.0), 1, 2.0, 4.5)  # zeros need one step
+        link = LinkConfig(LINEAR_STEP, 1, 2.0, 4.5)
 
         same_seed_levels = []
         for _delta_idx in range(2):
@@ -234,13 +229,13 @@ class TestEstimatorCriteria:
         fracs = rng.uniform(0.0, 0.9, size=1000)
         worst = 0.0
         for snr, frac in zip(snrs, fracs):
-            snr_prime = perturbed_snr(MarginQuery(snr, baud, frac * baud))
+            snr_prime = perturbed_snr(snr, frac * baud)
             full = baud * math.log2(1.0 + snr)
             reduced = (baud - frac * baud) * math.log2(1.0 + snr_prime)
             worst = max(worst, abs(reduced - full) / full)
         assert worst <= 1e-12
-        assert perturbed_snr(MarginQuery(0.0, baud, 5e9)) == 0.0
-        assert perturbed_snr(MarginQuery(4.2, baud, 0.0)) == 4.2
+        assert perturbed_snr(0.0, 5e9) == 0.0
+        assert perturbed_snr(4.2, 0.0) == 4.2
         report("10 margin identity", f"worst capacity mismatch {worst:.1e} over 1000 queries")
 
 

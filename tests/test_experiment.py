@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -16,9 +17,11 @@ from osnrprobe.experiment import (
     run_dataset,
 )
 from osnrprobe.fiberlink import FiberParams
-from osnrprobe.waveform import InfeasiblePerturbationError, TxConfig
+from osnrprobe.waveform import (InfeasiblePerturbationError, TxConfig, build_profile,
+                                default_regions, generate_reference)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+DESK_DATASET = Path(__file__).resolve().parents[1] / "data" / "desk_dataset.csv"
 
 
 def tiny_config(**overrides):
@@ -58,6 +61,16 @@ class TestConfig:
             with pytest.raises(ValueError, match="schema_version"):
                 ExperimentConfig.from_json(json.dumps(bad))
 
+    @pytest.mark.parametrize("where, key", [(None, "regions"), ("tx", "baud_rate"),
+                                            ("fiber", "precision")])
+    def test_rejects_unknown_key(self, where, key):
+        # a schema-4 document with a key no field takes, e.g. one left over
+        # from schema 3, is named, not a TypeError from the constructor
+        doc = json.loads(tiny_config().to_json())
+        (doc[where] if where else doc)[key] = None
+        with pytest.raises(ValueError, match=f"unknown {where or 'config'} key.*'{key}'"):
+            ExperimentConfig.from_json(json.dumps(doc))
+
     def test_missing_file_is_not_json_text(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             ExperimentConfig.from_json(tmp_path / "missing.json")
@@ -76,6 +89,12 @@ class TestConfig:
         # a repeated value would simulate one scenario twice under two seeds
         with pytest.raises(ValueError, match="finite|quantum|repeats"):
             tiny_config(**bad)
+
+    def test_rejects_lossless_fiber(self):
+        # the EDFA gain is the span loss: without loss there is no ASE and
+        # the truth OSNR is infinite, so the config fails before any span
+        with pytest.raises(ValueError, match="span loss must be positive, got 0 dB"):
+            tiny_config(fiber=FiberParams(alpha_db_per_km=0.0))
 
     def test_rejects_record_too_short_to_measure(self):
         with pytest.raises(ValueError, match="8192 samples too short"):
@@ -166,9 +185,11 @@ class TestCli:
         assert cli.main(["margin", "--out", str(out), "--snr-max-db", "10"]) == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "snr_db,bwd_pert_hz,penalty_db"
-        for bad in (["--snr-step-db", "0"], ["--snr-step-db", "-1"],
-                    ["--snr-min-db", "10", "--snr-max-db", "5"]):
-            with pytest.raises(ValueError, match="snr-step-db"):
+        for bad, match in ((["--snr-step-db", "0"], "snr-step-db"),
+                           (["--snr-step-db", "-1"], "snr-step-db"),
+                           (["--snr-min-db", "10", "--snr-max-db", "5"], "snr-step-db"),
+                           (["--bwd-ghz", "60"], "probe bandwidth")):
+            with pytest.raises(ValueError, match=match):
                 cli.main(["margin", "--out", str(tmp_path / "bad.csv"), *bad])
         assert not (tmp_path / "bad.csv").exists()
 
@@ -256,8 +277,10 @@ class TestWorkers:
         serial = tmp_path / "serial.csv"
         pooled = tmp_path / "pooled.csv"
         run_dataset(cfg, serial, workers=1, log=lambda *_: None)
-        run_dataset(cfg, pooled, workers=2, fft_workers=1, log=lambda *_: None)
+        messages = []
+        run_dataset(cfg, pooled, workers=2, fft_workers=1, log=messages.append)
         assert file_hash(serial) == file_hash(pooled)
+        assert sum(" done in " in m for m in messages) == 2  # each unit's wall time
 
 
 class TestResumeHygiene:
@@ -275,3 +298,22 @@ class TestResumeHygiene:
         assert any("dropping 1 rows" in m for m in messages)
         back = estimator.load_rows(out)
         assert all(r.launch_power_dbm == 2.0 for r in back)
+
+
+class TestReproducibility:
+    def test_desk_unit_reproduces_committed_row(self, tmp_path):
+        # the dataset's byte-for-byte contract, on one span of the desk
+        # preset's (+6 dBm, NF 7.5 dB) unit: a unit's seeds do not depend on
+        # its span list, so this is the span-1 row of the committed file
+        cfg = dataclasses.replace(desk_preset(), spans=(1,))
+        assert (cfg.powers_dbm[4], cfg.nf_dbs[3]) == (6.0, 7.5)
+        ref = generate_reference(cfg.tx)
+        regions = default_regions(cfg.tx)
+        profiles = [build_profile(ref, regions, d) for d in DELTA_GRID_DB]
+        rows, _, _ = experiment._run_unit(cfg, 4, 3, ref, profiles, fft_workers=1)
+        estimator.save_rows(rows, tmp_path / "row.csv")
+        header, row = (tmp_path / "row.csv").read_text().splitlines()
+        committed = DESK_DATASET.read_text().splitlines()
+        assert header == committed[0]
+        assert row in committed
+        assert row.startswith("6.0,1,7.5,")

@@ -10,7 +10,6 @@ from osnrprobe.experiment import desk_preset
 from osnrprobe.field import SampledField
 from osnrprobe.fiberlink import (
     REFERENCE_BANDWIDTH_HZ,
-    AmpParams,
     FiberParams,
     LinkConfig,
     analytic_osnr,
@@ -21,7 +20,7 @@ from osnrprobe.spectrum import apsd, estimate_psd, measure
 from osnrprobe.waveform import (apply_perturbation, build_profile, default_regions,
                                 generate_reference)
 
-from conftest import H_PLANCK, bare_fiber
+from conftest import H_PLANCK, LINEAR_STEP, one_span
 
 
 def white_field(n=3072, fs=40e9, power=1e-3, seed=0):
@@ -41,7 +40,7 @@ def noiseless_apsds(ref, regions, deltas_db, power_dbm, fiber, n_spans, referenc
     if reference:
         stack = np.concatenate([p.as_matrix() for p in probes])
         stack *= math.sqrt(link.launch_power_w / ref.total_power())
-        list(propagate(stack, ref.sample_rate, (n_spans,), fiber=fiber, amp=link.amp))
+        list(propagate(stack, ref.sample_rate, link, range(len(probes)), (n_spans,)))
         rx = [SampledField(*stack[i:i + 2], ref.sample_rate) for i in range(0, len(stack), 2)]
     else:
         (_, rx, _), = simulate_link(probes, link, range(len(probes)), (n_spans,))
@@ -49,19 +48,12 @@ def noiseless_apsds(ref, regions, deltas_db, power_dbm, fiber, n_spans, referenc
     return [(r.p_ref_db, r.p_n_db) for r in reports]
 
 
-def bare_amp(fld, amp, seed):
-    """One bare amplifier (no fiber) through the engine."""
-    stack = fld.as_matrix()
-    list(propagate(stack, fld.sample_rate, (1,), amp=amp, ase_seeds=(seed,)))
-    return SampledField(*stack, fld.sample_rate)
-
-
 class TestPropagateSpan:
     def test_linear_lossless_is_unitary(self):
         fld = white_field()
         fiber = FiberParams(dispersion_D=16.7, gamma=0.0, alpha_db_per_km=0.0,
                             span_length_km=100.0, step_km=1.0)
-        out = bare_fiber(fld, fiber)
+        out = one_span(fld, fiber)
         assert out.total_power() == pytest.approx(fld.total_power(), rel=1e-9)
         mag_in = np.abs(np.fft.fft(fld.samples_x))
         mag_out = np.abs(np.fft.fft(out.samples_x))
@@ -75,12 +67,13 @@ class TestPropagateSpan:
                           np.zeros(2048, complex), 10e9)
         fiber = FiberParams(dispersion_D=0.0, gamma=1.3, alpha_db_per_km=0.0,
                             span_length_km=length, step_km=0.1)
-        out = bare_fiber(cw, fiber)
+        out = one_span(cw, fiber)
         expected = -(8.0 / 9.0) * 1.3 * power * length
         measured = float(np.angle(out.samples_x[0] / cw.samples_x[0]))
         assert measured == pytest.approx(expected, rel=0.005)
         # every lossless step of a CW field applies the same phase
-        (_, max_phi), = propagate(cw.as_matrix(), cw.sample_rate, (1,), fiber=fiber)
+        link = LinkConfig(fiber, 1, 0.0, None)
+        (_, max_phi), = propagate(cw.as_matrix(), cw.sample_rate, link, (0,), (1,))
         assert max_phi == pytest.approx(-expected / fiber.steps_per_span, rel=1e-9)
 
     def test_spm_cw_phase_with_loss(self):
@@ -92,43 +85,38 @@ class TestPropagateSpan:
                             span_length_km=length, step_km=0.05)
         a = fiber.alpha_np_per_km
         expected = -(8.0 / 9.0) * 1.3 * power * (1.0 - math.exp(-a * length)) / a
-        out = bare_fiber(cw, fiber)
+        out = one_span(cw, fiber)
         assert float(np.angle(out.samples_x[0])) == pytest.approx(expected, rel=0.005)
 
     def test_loss_matches_span_budget(self):
+        # the EDFA's gain is the 20 dB span loss, so the span is transparent
         fld = white_field(power=1e-3)
         fiber = FiberParams(gamma=0.0, step_km=1.0)
-        out = bare_fiber(fld, fiber)
-        loss_db = 10 * math.log10(out.total_power() / fld.total_power())
-        assert loss_db == pytest.approx(-20.0, abs=1e-9)
+        assert LinkConfig(fiber, 1, 0.0, None).gain_linear == pytest.approx(100.0, rel=1e-12)
+        out = one_span(fld, fiber)
+        assert out.total_power() == pytest.approx(fld.total_power(), rel=1e-9)
 
     def test_step_phase_warning(self):
         cw = SampledField(np.full(1024, 1.0 + 0j), np.zeros(1024, complex), 10e9)
         fiber = FiberParams(dispersion_D=0.0, gamma=1.3, alpha_db_per_km=0.0,
                             span_length_km=1.0, step_km=0.5)
         with pytest.warns(RuntimeWarning, match="nonlinear phase"):
-            bare_fiber(cw, fiber)
+            one_span(cw, fiber)
 
 
 class TestAmplify:
-    def test_noiseless_pure_gain(self):
-        fld = white_field()
-        out = bare_amp(fld, AmpParams(gain_db=20.0, nf_db=None), 0)
-        assert out.total_power() == pytest.approx(100.0 * fld.total_power(), rel=1e-12)
-
     def test_ase_density_matches_formula(self):
         # frozen oracle: (10^0.45 / 2) h nu (G - 1) = 1.7878e-17 W/Hz; c4
         # measures the same density on the engine's output
-        amp = AmpParams(gain_db=20.0, nf_db=4.5)
+        link = LinkConfig(FiberParams(), 1, 0.0, 4.5)  # 20 dB span, so G = 100
         expected = (10**0.45 / 2) * H_PLANCK * 193.4e12 * 99.0
         assert expected == pytest.approx(1.7878e-17, rel=1e-4)
-        assert amp.ase_psd_per_pol() == pytest.approx(expected, rel=1e-12)
+        assert link.ase_psd_per_pol() == pytest.approx(expected, rel=1e-12)
 
     def test_seeds_independent_same_power(self):
         zero = SampledField(np.zeros(2**16, complex), np.zeros(2**16, complex), 170.4e9)
-        amp = AmpParams(gain_db=20.0, nf_db=4.5)
-        a = bare_amp(zero, amp, 1)
-        b = bare_amp(zero, amp, 2)
+        a = one_span(zero, LINEAR_STEP, 4.5, 1)
+        b = one_span(zero, LINEAR_STEP, 4.5, 2)
         assert not np.array_equal(a.samples_x, b.samples_x)
         corr = np.corrcoef(np.abs(a.samples_x) ** 2, np.abs(b.samples_x) ** 2)[0, 1]
         assert abs(corr) < 0.05
@@ -137,7 +125,7 @@ class TestAmplify:
     def test_quantum_limit_enforced(self):
         for nf_db in (2.0, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="quantum"):
-                AmpParams(gain_db=20.0, nf_db=nf_db)
+                LinkConfig(FiberParams(), 1, 0.0, nf_db)
 
 
 class TestBatchedEngine:
@@ -164,9 +152,9 @@ class TestBatchedEngine:
 
     def test_rejects_missing_ase_seed(self, reference):
         stack = np.zeros((4, len(reference)), np.complex64)
-        amp = AmpParams(gain_db=20.0, nf_db=4.5)
+        link = LinkConfig(LINEAR_STEP, 1, 0.0, 4.5)
         with pytest.raises(ValueError, match="one ASE seed per field"):
-            list(propagate(stack, reference.sample_rate, (1,), amp=amp, ase_seeds=(1,)))
+            list(propagate(stack, reference.sample_rate, link, (1,), (1,)))
         with pytest.raises(ValueError, match="shorter"):
             list(simulate_link([reference] * 2, LinkConfig(FiberParams(), 1, 0.0, 4.5), [1], [1]))
 
@@ -185,7 +173,7 @@ class TestSimulateLink:
         link = LinkConfig(fiber, 1, -2.0, 6.0)
         (_, (rx,), _), = simulate_link([reference], link, [3], [1])
         trace = estimate_psd(rx)
-        ase_db = 10 * math.log10(2 * link.amp.ase_psd_per_pol())
+        ase_db = 10 * math.log10(2 * link.ase_psd_per_pol())
         # ASE alone between the signal edge and fs/2
         out_of_band = apsd(trace, [(tx_cfg.boi_halfwidth + 2e9,
                                     tx_cfg.sample_rate / 2 - 2e9)])
@@ -194,6 +182,14 @@ class TestSimulateLink:
         signal_db = 10 * math.log10(link.launch_power_w / 56.8e9)
         expected = 10 * math.log10(10 ** (signal_db / 10) + 10 ** (ase_db / 10))
         assert in_band == pytest.approx(expected, abs=0.2)
+
+    def test_rejects_tap_beyond_link(self, reference):
+        # the link's span count bounds the taps, before any span is run
+        link = LinkConfig(FiberParams(), 2, 0.0, 4.5)
+        with pytest.raises(ValueError, match=r"\[1, 3\] outside the link's 1\.\.2"):
+            list(simulate_link([reference], link, [0], [1, 3]))
+        with pytest.raises(ValueError, match="outside"):
+            list(propagate(reference.as_matrix(), reference.sample_rate, link, [0], [0]))
 
     def test_deterministic_given_seed(self, reference):
         link = LinkConfig(FiberParams(step_km=2.0), 2, 2.0, 4.5)
@@ -231,7 +227,7 @@ class TestInvariants:
         fld = white_field(n=1536, power=2e-3, seed=seed)
         fiber = FiberParams(gamma=gamma, alpha_db_per_km=0.0,
                             span_length_km=5.0, step_km=0.5)
-        out = bare_fiber(fld, fiber)
+        out = one_span(fld, fiber)
         assert out.total_power() == pytest.approx(fld.total_power(), rel=1e-9)
 
     def test_linear_superposition(self):
@@ -240,9 +236,9 @@ class TestInvariants:
         fiber = FiberParams(gamma=0.0, step_km=5.0)
         both = SampledField(a.samples_x + b.samples_x, a.samples_y + b.samples_y,
                             a.sample_rate)
-        out_sum = bare_fiber(both, fiber)
-        pa = bare_fiber(a, fiber)
-        pb = bare_fiber(b, fiber)
+        out_sum = one_span(both, fiber)
+        pa = one_span(a, fiber)
+        pb = one_span(b, fiber)
         recombined = pa.samples_x + pb.samples_x
         assert np.max(np.abs(out_sum.samples_x - recombined)) <= 1e-9 * np.max(
             np.abs(recombined))

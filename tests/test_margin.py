@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from osnrprobe.margin import (
     DEFAULT_PROBE_BANDWIDTHS_HZ,
-    MarginQuery,
     margin_curve,
     perturbed_snr,
     save_margin_csv,
@@ -19,7 +18,7 @@ class TestPerturbedSnr:
     def test_ten_percent_probe_at_10db(self):
         # frozen oracle: 11^(1/0.9) - 1 evaluated independently
         expected = math.exp(math.log(11.0) / 0.9) - 1.0
-        got = perturbed_snr(MarginQuery(10.0, BAUD, 5.68e9))
+        got = perturbed_snr(10.0, 5.68e9)
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(13.357, abs=2e-3)
         penalty = 10 * math.log10(got) - 10.0
@@ -27,11 +26,11 @@ class TestPerturbedSnr:
 
     def test_rejects_probe_wider_than_band(self):
         with pytest.raises(ValueError, match="probe bandwidth"):
-            MarginQuery(1.0, BAUD, BAUD)
+            perturbed_snr(1.0, BAUD)
 
     def test_rejects_negative_snr(self):
         with pytest.raises(ValueError, match="snr"):
-            MarginQuery(-0.5, BAUD, 0.0)
+            perturbed_snr(-0.5, 0.0)
 
     @settings(max_examples=200, deadline=None)
     @given(snr_db=st.floats(min_value=-20.0, max_value=30.0),
@@ -39,7 +38,7 @@ class TestPerturbedSnr:
     def test_capacity_equivalence(self, snr_db, frac):
         snr = 10.0 ** (snr_db / 10.0)
         bwd = frac * BAUD
-        snr_prime = perturbed_snr(MarginQuery(snr, BAUD, bwd))
+        snr_prime = perturbed_snr(snr, bwd)
         full = BAUD * math.log2(1.0 + snr)
         reduced = (BAUD - bwd) * math.log2(1.0 + snr_prime)
         assert reduced == pytest.approx(full, rel=1e-12)
@@ -47,23 +46,23 @@ class TestPerturbedSnr:
 
 class TestMarginCurve:
     def test_zero_bandwidth_zero_penalty(self):
-        rows = margin_curve(BAUD, [0.0], [0.0, 10.0, 20.0])
+        rows = margin_curve([0.0], [0.0, 10.0, 20.0])
         assert all(penalty == pytest.approx(0.0, abs=1e-12) for *_, penalty in rows)
 
     def test_penalty_grows_with_bandwidth(self):
-        rows = margin_curve(BAUD, [1e9, 2e9, 4e9], [15.0])
+        rows = margin_curve([1e9, 2e9, 4e9], [15.0])
         penalties = [p for *_, p in rows]
         assert penalties == sorted(penalties)
         assert penalties[0] < penalties[-1]
 
     def test_penalty_grows_with_snr(self):
-        rows = margin_curve(BAUD, [5.68e9], list(range(1, 31)))
+        rows = margin_curve([5.68e9], list(range(1, 31)))
         penalties = [p for *_, p in rows]
         assert all(b > a for a, b in zip(penalties, penalties[1:]))
 
     def test_csv_export(self, tmp_path):
         path = tmp_path / "margin.csv"
-        save_margin_csv(margin_curve(BAUD), path)
+        save_margin_csv(margin_curve(), path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "snr_db,bwd_pert_hz,penalty_db"
         assert len(lines) == 1 + len(DEFAULT_PROBE_BANDWIDTHS_HZ) * 31
