@@ -105,6 +105,18 @@ class TestPropagateSpan:
 
 
 class TestAmplify:
+    def test_noiseless_pure_gain(self):
+        # nf_db=None: the EDFA applies G = 100 (the 20 dB span) and adds nothing
+        link = LinkConfig(FiberParams(), 1, 0.0, None)
+        assert link.gain_linear == pytest.approx(100.0, rel=1e-12)
+        assert link.ase_psd_per_pol() == 0.0
+        zero = SampledField(np.zeros(3072, complex), np.zeros(3072, complex), 40e9)
+        out = one_span(zero, LINEAR_STEP)
+        assert not np.any(out.samples_x) and not np.any(out.samples_y)
+        fld = white_field()
+        out = one_span(fld, LINEAR_STEP)
+        assert out.total_power() == pytest.approx(fld.total_power(), rel=1e-12)
+
     def test_ase_density_matches_formula(self):
         # frozen oracle: (10^0.45 / 2) h nu (G - 1) = 1.7878e-17 W/Hz; c4
         # measures the same density on the engine's output
