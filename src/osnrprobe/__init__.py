@@ -10,10 +10,9 @@ from .field import SampledField
 from .waveform import (
     TxConfig,
     RegionSet,
+    REGIONS,
     PerturbationProfile,
     InfeasiblePerturbationError,
-    RegionError,
-    default_regions,
     generate_reference,
     power_fractions,
     delta_b_for,

@@ -11,7 +11,7 @@ from . import estimator, margin
 from .experiment import PRESETS, ExperimentConfig, _nfl_seed, run_dataset
 from .fiberlink import LinkConfig, simulate_link
 from .spectrum import estimate_psd
-from .waveform import (add_tx_noise_floor, apply_perturbation, build_profile, default_regions,
+from .waveform import (REGIONS, add_tx_noise_floor, apply_perturbation, build_profile,
                        generate_reference)
 
 
@@ -77,7 +77,7 @@ def cmd_margin(args) -> int:
 def cmd_psd(args) -> int:
     cfg = _load_config(args)
     ref = generate_reference(cfg.tx)
-    profile = build_profile(ref, default_regions(cfg.tx), args.delta_db)
+    profile = build_profile(ref, REGIONS, args.delta_db)
     tx = add_tx_noise_floor(apply_perturbation(ref, profile), cfg.tx, _nfl_seed(cfg, 0, 0, 0))
     link = LinkConfig(cfg.fiber, args.spans, args.power_dbm, None if args.no_ase else args.nf_db)
     (_, (rx,), _), = simulate_link([tx], link, [cfg.seed], [args.spans])

@@ -117,8 +117,8 @@ class FitCoefficients:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (7,) or not np.all(np.isfinite(self.values)):
-            raise ValueError("need 7 finite coefficients")
+        if self.values.shape != (len(FEATURE_NAMES),) or not np.all(np.isfinite(self.values)):
+            raise ValueError(f"need {len(FEATURE_NAMES)} finite coefficients")
 
     def as_dict(self) -> dict:
         return {f"k{i}": float(v) for i, v in enumerate(self.values)}
@@ -129,7 +129,7 @@ class FitCoefficients:
     @classmethod
     def load(cls, path) -> "FitCoefficients":
         raw = json.loads(Path(path).read_text())
-        return cls(np.array([raw[f"k{i}"] for i in range(7)]))
+        return cls(np.array([raw[f"k{i}"] for i in range(len(FEATURE_NAMES))]))
 
 
 @dataclass
@@ -202,8 +202,9 @@ def fit_least_squares(data: Dataset) -> FitCoefficients:
     dependent columns instead of silently returning one of many minimizers.
     """
     rows = data.capped()
-    if len(rows) < 7:
-        raise ValueError(f"need >= 7 training rows under the cap, have {len(rows)}")
+    if len(rows) < len(FEATURE_NAMES):
+        raise ValueError(f"need >= {len(FEATURE_NAMES)} training rows under the cap, "
+                         f"have {len(rows)}")
     x, y = _design(rows)
     # Column-pivoted QR exposes which columns collapsed onto the others.
     _, r, piv = scipy.linalg.qr(x, mode="economic", pivoting=True)

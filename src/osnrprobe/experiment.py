@@ -4,7 +4,7 @@ A dataset run sweeps the (launch power, span count, noise figure) grid; for
 every scenario the five probe spectra are synthesized, propagated, and
 measured, producing one feature row. The reference waveform and the five
 probe profiles (one per boost of `estimator.DELTA_GRID_DB`, on the one
-probe geometry `waveform.default_regions`) are built once per run, before
+probe geometry `waveform.REGIONS`) are built once per run, before
 any propagation. Scenarios sharing launch power and NF differ only in span
 count, so each (power, NF) work unit launches its five probes as one
 (10, N) stack through `fiberlink.simulate_link` once up to the largest span
@@ -28,8 +28,8 @@ from .estimator import DELTA_GRID_DB, build_feature_row
 from .field import SampledField
 from .fiberlink import FiberParams, LinkConfig, analytic_osnr, simulate_link
 from .spectrum import MIN_FIELD_SAMPLES, measure
-from .waveform import (TxConfig, add_tx_noise_floor, apply_perturbation, build_profile,
-                       default_regions, generate_reference)
+from .waveform import (REGIONS, TxConfig, add_tx_noise_floor, apply_perturbation,
+                       build_profile, generate_reference)
 
 SCHEMA_VERSION = 4
 
@@ -106,7 +106,10 @@ class ExperimentConfig:
 
 
 def _known_keys(kind, doc: dict, where: str) -> dict:
-    """doc, once every key in it is a field of the dataclass `kind`."""
+    """doc, once it is an object and every key in it is a field of the
+    dataclass `kind`."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {json.dumps(doc)}")
     unknown = sorted(set(doc) - {f.name for f in fields(kind)})
     if unknown:
         raise ValueError(f"unknown {where} key(s) {unknown} for schema_version "
@@ -159,7 +162,6 @@ def _run_unit(cfg: ExperimentConfig, ip: int, inf_: int, ref: SampledField,
     started = time.monotonic()
     power = cfg.powers_dbm[ip]
     nf = cfg.nf_dbs[inf_]
-    regions = default_regions(cfg.tx)
     link = LinkConfig(cfg.fiber, max(cfg.spans), power, nf)
     probes = (add_tx_noise_floor(apply_perturbation(ref, profile), cfg.tx,
                                  _nfl_seed(cfg, ip, inf_, idelta))
@@ -169,7 +171,7 @@ def _run_unit(cfg: ExperimentConfig, ip: int, inf_: int, ref: SampledField,
     for k, received, max_phi in simulate_link(probes, link, ase_seeds, cfg.spans,
                                               workers=fft_workers):
         for fld, delta_db in zip(received, DELTA_GRID_DB):
-            reports[k].append(measure(fld, regions, delta_db))
+            reports[k].append(measure(fld, REGIONS, delta_db))
     rows = []
     for spans in cfg.spans:
         truth = analytic_osnr(LinkConfig(cfg.fiber, spans, power, nf))
@@ -187,8 +189,7 @@ def run_dataset(cfg: ExperimentConfig, out_path, workers: int = 1,
     """
     out_path = Path(out_path)
     ref = generate_reference(cfg.tx)
-    regions = default_regions(cfg.tx)
-    profiles = [build_profile(ref, regions, delta_db) for delta_db in DELTA_GRID_DB]
+    profiles = [build_profile(ref, REGIONS, delta_db) for delta_db in DELTA_GRID_DB]
     grid_keys = {_scenario_key(p, nf, s) for p in cfg.powers_dbm
                  for nf in cfg.nf_dbs for s in cfg.spans}
     rows_by_key = {}

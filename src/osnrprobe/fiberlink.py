@@ -216,6 +216,8 @@ def propagate(stack: np.ndarray, sample_rate: float, link: LinkConfig, ase_seeds
     EDFA after span k draws its ASE from span_seed(ase_seeds[i], k), so a
     field's bytes are the same whether it travels alone or in a stack.
     `workers` (FFT threads) stays a parameter: the CLI runs 2, perfbench 1.
+    The arguments are checked here, when propagate is called; the spans run
+    as the returned generator is consumed.
     """
     if stack.ndim != 2 or stack.shape[0] % 2:
         raise ValueError("stack must be (2P, N): an x and a y row per field")
@@ -226,6 +228,11 @@ def propagate(stack: np.ndarray, sample_rate: float, link: LinkConfig, ase_seeds
     if not taps <= set(range(1, link.n_spans + 1)):
         raise ValueError(f"tap spans {sorted(taps)} outside the link's "
                          f"1..{link.n_spans}")
+    return _spans(stack, sample_rate, link, ase_seeds, taps, workers)
+
+
+def _spans(stack, sample_rate, link, ase_seeds, taps, workers):
+    """The generator that `propagate` returns, once its arguments are checked."""
     stepper = _SplitStep(stack, sample_rate, link.fiber, workers)
     gain = stack.real.dtype.type(math.sqrt(link.gain_linear))
     sigma = math.sqrt(link.ase_psd_per_pol() * sample_rate / 2.0)
@@ -255,7 +262,8 @@ def simulate_link(fields, link: LinkConfig, ase_seeds, taps, workers: int = 2):
     stack, field i scaled by float32(sqrt(P_launch / total_power)) (an
     all-zero field stays zero) and amplified with ASE from ase_seeds[i];
     propagate it over `link` and yield (k, received, max_phi) after span k
-    for every k in taps (0 is the launch, the rest in 1..link.n_spans).
+    for every k in taps (0 is the launch, the rest in 1..link.n_spans; any
+    other tap raises before the launch is yielded).
     `received` reads the fields back one at a time as complex128
     `SampledField`s from the live stack: consume it before the next tap."""
     stack = None
@@ -272,10 +280,10 @@ def simulate_link(fields, link: LinkConfig, ase_seeds, taps, workers: int = 2):
             yield SampledField(stack[i].astype(complex), stack[i + 1].astype(complex),
                                fld.sample_rate)
 
+    spans = propagate(stack, fld.sample_rate, link, ase_seeds, [k for k in taps if k], workers)
     if 0 in taps:
         yield 0, received(), 0.0
-    for k, max_phi in propagate(stack, fld.sample_rate, link, ase_seeds,
-                                [k for k in taps if k], workers):
+    for k, max_phi in spans:
         yield k, received(), max_phi
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from osnrprobe.field import SampledField
 from osnrprobe.fiberlink import FiberParams, LinkConfig, propagate
-from osnrprobe.waveform import TxConfig, default_regions, generate_reference
+from osnrprobe.waveform import REGIONS, TxConfig, generate_reference
 
 H_PLANCK = 6.62607015e-34
 # One linear step over the default 100 km span (20 dB): it maps zeros to
@@ -44,5 +44,5 @@ def reference(tx_cfg):
 
 
 @pytest.fixture(scope="session")
-def regions(tx_cfg):
-    return default_regions(tx_cfg)
+def regions():
+    return REGIONS

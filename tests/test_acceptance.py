@@ -27,11 +27,11 @@ from osnrprobe.fiberlink import (
 from osnrprobe.margin import perturbed_snr
 from osnrprobe.spectrum import PsdTrace, apsd, estimate_psd, measure
 from osnrprobe.waveform import (
+    REGIONS,
     TxConfig,
     add_tx_noise_floor,
     apply_perturbation,
     build_profile,
-    default_regions,
     generate_reference,
 )
 
@@ -117,7 +117,6 @@ class TestPhysicsOracles:
 
         cfg = TxConfig(n_symbols=2**14, seed=7, nfl_rel_db=None)
         ref = generate_reference(cfg)
-        regions = default_regions(cfg)
         fiber = FiberParams(step_km=0.5)
         link = LinkConfig(fiber, 2, 2.0, 4.5)
         ase_rx = ase_only(len(ref), ref.sample_rate, link, 99)
@@ -135,10 +134,9 @@ class TestMethodProperties:
     def test_c5_power_conservation_on_probe_grid(self):
         cfg = TxConfig(n_symbols=2**14, seed=7)
         ref = generate_reference(cfg)
-        regions = default_regions(cfg)
         worst = 0.0
         for delta_db in DELTA_GRID_DB:
-            out = apply_perturbation(ref, build_profile(ref, regions, delta_db))
+            out = apply_perturbation(ref, build_profile(ref, REGIONS, delta_db))
             worst = max(worst, abs(out.total_power() - ref.total_power())
                         / ref.total_power())
         assert worst <= 1e-6
@@ -150,13 +148,12 @@ class TestMethodProperties:
         cfg = TxConfig(seed=7)
         grid_len = cfg.n_symbols * cfg.samples_per_symbol
         fs = cfg.sample_rate
-        regions = default_regions(cfg)
         link = LinkConfig(LINEAR_STEP, 1, 2.0, 4.5)
 
         same_seed_levels = []
         for _delta_idx in range(2):
             rx = ase_only(grid_len, fs, link, 1000)
-            same_seed_levels.append(apsd(estimate_psd(rx), regions.f_n, 0.8))
+            same_seed_levels.append(apsd(estimate_psd(rx), REGIONS.f_n, 0.8))
         assert same_seed_levels[0] == same_seed_levels[1]
 
         n_avg = 12
@@ -169,15 +166,14 @@ class TestMethodProperties:
                 trace = estimate_psd(rx)
                 acc = trace.psd if acc is None else acc + trace.psd
             avg = PsdTrace(trace.freqs, acc / n_avg)
-            levels.append(apsd(avg, regions.f_n, 0.8))
+            levels.append(apsd(avg, REGIONS.f_n, 0.8))
         spread = max(levels) - min(levels)
         assert spread <= 0.05
 
         # (b) noise-free notch APSD climbs with both launch power and spans
         cfg14 = TxConfig(n_symbols=2**14, seed=7, nfl_rel_db=None)
         ref = generate_reference(cfg14)
-        regions14 = default_regions(cfg14)
-        pert = apply_perturbation(ref, build_profile(ref, regions14, 10.0))
+        pert = apply_perturbation(ref, build_profile(ref, REGIONS, 10.0))
         fiber14 = FiberParams()  # the converged default step
         span_list = (1, 5, 10)
         powers = (-2.0, 2.0, 6.0)
@@ -185,7 +181,7 @@ class TestMethodProperties:
         for power in powers:
             link = LinkConfig(fiber14, max(span_list), power, None)
             for k, (rx,), _ in simulate_link([pert], link, [0], span_list):
-                notch[(power, k)] = measure(rx, regions14, 10.0).p_n_db
+                notch[(power, k)] = measure(rx, REGIONS, 10.0).p_n_db
         for power in (-2.0, 2.0, 6.0):
             seq = [notch[(power, k)] for k in span_list]
             assert seq[0] < seq[1] < seq[2]
@@ -199,11 +195,10 @@ class TestMethodProperties:
     def test_c7_back_to_back_notch_floor(self):
         cfg = TxConfig(n_symbols=2**15, seed=7)
         ref = generate_reference(cfg)
-        regions = default_regions(cfg)
-        pert = apply_perturbation(ref, build_profile(ref, regions, 10.0))
+        pert = apply_perturbation(ref, build_profile(ref, REGIONS, 10.0))
         noisy = add_tx_noise_floor(pert, cfg, 123)
-        in_band = apsd(estimate_psd(ref), [regions.f_boi])
-        floor = apsd(estimate_psd(noisy), regions.f_n, 0.8)
+        in_band = apsd(estimate_psd(ref), [REGIONS.f_boi])
+        floor = apsd(estimate_psd(noisy), REGIONS.f_n, 0.8)
         assert floor - in_band == pytest.approx(-22.5, abs=0.2)
         report("7 notch floor", f"notch at {floor - in_band:+.3f} dB vs -22.5 dB target")
 

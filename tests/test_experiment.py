@@ -17,8 +17,8 @@ from osnrprobe.experiment import (
     run_dataset,
 )
 from osnrprobe.fiberlink import FiberParams
-from osnrprobe.waveform import (InfeasiblePerturbationError, TxConfig, build_profile,
-                                default_regions, generate_reference)
+from osnrprobe.waveform import (REGIONS, InfeasiblePerturbationError, TxConfig, build_profile,
+                                generate_reference)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 DESK_DATASET = Path(__file__).resolve().parents[1] / "data" / "desk_dataset.csv"
@@ -61,14 +61,21 @@ class TestConfig:
             with pytest.raises(ValueError, match="schema_version"):
                 ExperimentConfig.from_json(json.dumps(bad))
 
-    @pytest.mark.parametrize("where, key", [(None, "regions"), ("tx", "baud_rate"),
-                                            ("fiber", "precision")])
-    def test_rejects_unknown_key(self, where, key):
+    @pytest.mark.parametrize("where, key, match", [
+        pytest.param(None, "regions", "unknown config key.*'regions'", id="None-regions"),
+        pytest.param("tx", "baud_rate", "unknown tx key.*'baud_rate'", id="tx-baud_rate"),
+        pytest.param("fiber", "precision", "unknown fiber key.*'precision'",
+                     id="fiber-precision"),
+        pytest.param(None, "tx", "tx must be a JSON object, got null", id="None-tx"),
+        pytest.param(None, "fiber", "fiber must be a JSON object, got null", id="None-fiber"),
+    ])
+    def test_rejects_unknown_key(self, where, key, match):
         # a schema-4 document with a key no field takes, e.g. one left over
-        # from schema 3, is named, not a TypeError from the constructor
+        # from schema 3, or a null where an object belongs, is named, not a
+        # TypeError from the constructor or from the key check
         doc = json.loads(tiny_config().to_json())
         (doc[where] if where else doc)[key] = None
-        with pytest.raises(ValueError, match=f"unknown {where or 'config'} key.*'{key}'"):
+        with pytest.raises(ValueError, match=match):
             ExperimentConfig.from_json(json.dumps(doc))
 
     def test_missing_file_is_not_json_text(self, tmp_path):
@@ -308,8 +315,7 @@ class TestReproducibility:
         cfg = dataclasses.replace(desk_preset(), spans=(1,))
         assert (cfg.powers_dbm[4], cfg.nf_dbs[3]) == (6.0, 7.5)
         ref = generate_reference(cfg.tx)
-        regions = default_regions(cfg.tx)
-        profiles = [build_profile(ref, regions, d) for d in DELTA_GRID_DB]
+        profiles = [build_profile(ref, REGIONS, d) for d in DELTA_GRID_DB]
         rows, _, _ = experiment._run_unit(cfg, 4, 3, ref, profiles, fft_workers=1)
         estimator.save_rows(rows, tmp_path / "row.csv")
         header, row = (tmp_path / "row.csv").read_text().splitlines()

@@ -17,8 +17,7 @@ from osnrprobe.fiberlink import (
     simulate_link,
 )
 from osnrprobe.spectrum import apsd, estimate_psd, measure
-from osnrprobe.waveform import (apply_perturbation, build_profile, default_regions,
-                                generate_reference)
+from osnrprobe.waveform import REGIONS, apply_perturbation, build_profile, generate_reference
 
 from conftest import H_PLANCK, LINEAR_STEP, one_span
 
@@ -187,7 +186,7 @@ class TestSimulateLink:
         trace = estimate_psd(rx)
         ase_db = 10 * math.log10(2 * link.ase_psd_per_pol())
         # ASE alone between the signal edge and fs/2
-        out_of_band = apsd(trace, [(tx_cfg.boi_halfwidth + 2e9,
+        out_of_band = apsd(trace, [(REGIONS.f_boi[1] + 2e9,
                                     tx_cfg.sample_rate / 2 - 2e9)])
         assert out_of_band == pytest.approx(ase_db, abs=0.1)
         in_band = apsd(trace, [(-20e9, -16e9)])
@@ -196,12 +195,16 @@ class TestSimulateLink:
         assert in_band == pytest.approx(expected, abs=0.2)
 
     def test_rejects_tap_beyond_link(self, reference):
-        # the link's span count bounds the taps, before any span is run
+        # the link's span count bounds the taps, before any span is run: the
+        # first next() raises, before the launch fields of tap 0 are handed
+        # out, and propagate raises when it is called
         link = LinkConfig(FiberParams(), 2, 0.0, 4.5)
         with pytest.raises(ValueError, match=r"\[1, 3\] outside the link's 1\.\.2"):
             list(simulate_link([reference], link, [0], [1, 3]))
+        with pytest.raises(ValueError, match=r"\[5\] outside the link's 1\.\.2"):
+            next(simulate_link([reference], link, [0], (0, 5)))
         with pytest.raises(ValueError, match="outside"):
-            list(propagate(reference.as_matrix(), reference.sample_rate, link, [0], [0]))
+            propagate(reference.as_matrix(), reference.sample_rate, link, [0], [0])
 
     def test_deterministic_given_seed(self, reference):
         link = LinkConfig(FiberParams(step_km=2.0), 2, 2.0, 4.5)
@@ -267,10 +270,9 @@ class TestInvariants:
         fine = FiberParams(step_km=0.1)
         assert cfg.fiber.step_km > fine.step_km
         assert tx.samples_per_symbol < tx_fine.samples_per_symbol
-        regions = default_regions(tx)
         deltas = (DELTA_GRID_DB[0], DELTA_GRID_DB[-1])
-        got = noiseless_apsds(generate_reference(tx), regions, deltas, 6.0, cfg.fiber, 2)
-        want = noiseless_apsds(generate_reference(tx_fine), regions, deltas, 6.0,
+        got = noiseless_apsds(generate_reference(tx), REGIONS, deltas, 6.0, cfg.fiber, 2)
+        want = noiseless_apsds(generate_reference(tx_fine), REGIONS, deltas, 6.0,
                                fine, 2, reference=True)
         for (p_ref, p_n), (p_ref_fine, p_n_fine) in zip(got, want):
             assert abs(p_n - p_n_fine) <= 0.05

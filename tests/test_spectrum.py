@@ -14,7 +14,8 @@ from osnrprobe.spectrum import (
     measure,
     supergaussian_kernel,
 )
-from osnrprobe.waveform import TxConfig, apply_perturbation, build_profile, generate_reference
+from osnrprobe.waveform import (REGIONS, TxConfig, apply_perturbation, build_profile,
+                                generate_reference)
 
 
 def flat_trace(level=1e-15, n=2001, span=100e9):
@@ -129,12 +130,10 @@ class TestMeasure:
     def test_linear_link_floor_exceeds_40db(self):
         cfg = TxConfig(n_symbols=2**13, seed=7, nfl_rel_db=None)
         ref = generate_reference(cfg)
-        from osnrprobe.waveform import default_regions
-        regions = default_regions(cfg)
-        pert = apply_perturbation(ref, build_profile(ref, regions, 10.0))
+        pert = apply_perturbation(ref, build_profile(ref, REGIONS, 10.0))
         link = LinkConfig(FiberParams(gamma=0.0, step_km=10.0), 2, 2.0, None)
         (_, (rx,), _), = simulate_link([pert], link, [0], [2])
-        report = measure(rx, regions, 10.0)
+        report = measure(rx, REGIONS, 10.0)
         assert report.p_ref_db - report.p_n_db >= 40.0
 
     def test_contrast_shrinks_with_span_count(self, regions):

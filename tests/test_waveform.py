@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from osnrprobe.field import SampledField
 from osnrprobe.spectrum import apsd, estimate_psd
 from osnrprobe.waveform import (
+    REGIONS,
     InfeasiblePerturbationError,
     PerturbationProfile,
-    RegionError,
     RegionSet,
     TxConfig,
     add_tx_noise_floor,
@@ -23,10 +23,10 @@ from osnrprobe.waveform import (
     rrc_spectrum,
 )
 
-def analytic_region_fraction(intervals, cfg):
+def analytic_region_fraction(intervals):
     """Oracle: quadrature of the analytic raised-cosine spectrum, independent
     of any FFT code path."""
-    grid = np.linspace(-cfg.boi_halfwidth, cfg.boi_halfwidth, 400001)
+    grid = np.linspace(*REGIONS.f_boi, 400001)
     shape = rrc_spectrum(grid)
     total = trapezoid(shape, grid)
     part = 0.0
@@ -69,27 +69,21 @@ class TestGenerateReference:
 
 
 class TestPowerFractions:
-    def test_full_band_region(self, reference, tx_cfg):
-        half = tx_cfg.boi_halfwidth
-        full = RegionSet(f_a=[(-half, half)], f_b=[], f_n=[], f_boi=(-half, half))
+    def test_full_band_region(self, reference):
+        full = RegionSet(f_a=(REGIONS.f_boi,), f_b=(), f_n=(), f_boi=REGIONS.f_boi)
         k_a, k_b, k_n = power_fractions(reference, full)
         assert k_a == pytest.approx(1.0, abs=1e-12)
         assert k_b == k_n == 0.0
 
-    def test_default_geometry_matches_quadrature(self, reference, regions, tx_cfg):
+    def test_default_geometry_matches_quadrature(self, reference, regions):
         k_a, k_b, k_n = power_fractions(reference, regions)
         # both boost bands sit in the flat part: analytic value is 2/56.8
-        k_a_oracle = analytic_region_fraction(regions.f_a, tx_cfg)
-        k_n_oracle = analytic_region_fraction(regions.f_n, tx_cfg)
+        k_a_oracle = analytic_region_fraction(regions.f_a)
+        k_n_oracle = analytic_region_fraction(regions.f_n)
         assert k_a_oracle == pytest.approx(2.0 / 56.8, rel=1e-4)
         assert k_a == pytest.approx(k_a_oracle, rel=0.10)
         assert k_n == pytest.approx(k_n_oracle, rel=0.10)
         assert k_a + k_b + k_n == pytest.approx(1.0, abs=1e-9)
-
-    def test_region_outside_band_rejected(self, reference):
-        wild = RegionSet(f_a=[(-100e9, 100e9)], f_b=[], f_n=[], f_boi=(-100e9, 100e9))
-        with pytest.raises(RegionError, match="beyond the sampled band"):
-            power_fractions(reference, wild)
 
 
 class TestDeltaB:
@@ -109,13 +103,13 @@ class TestDeltaB:
 
 
 class TestApplyPerturbation:
-    def test_identity_profile_roundtrip(self, reference, tx_cfg):
-        half = tx_cfg.boi_halfwidth
+    def test_identity_profile_roundtrip(self, reference):
+        lo, hi = REGIONS.f_boi
         no_notch = RegionSet(
-            f_a=[(11e9, 12e9), (14e9, 15e9)],
-            f_n=[],
-            f_b=[(-half, 11e9), (12e9, 14e9), (15e9, half)],
-            f_boi=(-half, half),
+            f_a=((11e9, 12e9), (14e9, 15e9)),
+            f_n=(),
+            f_b=((lo, 11e9), (12e9, 14e9), (15e9, hi)),
+            f_boi=(lo, hi),
         )
         k_a, k_b, _ = power_fractions(reference, no_notch)
         profile = PerturbationProfile(1.0, 1.0, no_notch, k_a, k_b)
@@ -130,7 +124,7 @@ class TestApplyPerturbation:
         p_notch = apsd(estimate_psd(pert), regions.f_n, 0.8)
         assert p_notch < p_boi_ref - 60.0
 
-    def test_out_of_band_bins_untouched(self, tx_cfg):
+    def test_out_of_band_bins_untouched(self, tx_cfg, regions):
         # needs a field with genuine out-of-band content, unlike the shaped
         # reference whose spectrum is zero there
         rng = np.random.default_rng(2)
@@ -138,7 +132,6 @@ class TestApplyPerturbation:
         fld = SampledField(rng.standard_normal(n) + 1j * rng.standard_normal(n),
                            rng.standard_normal(n) + 1j * rng.standard_normal(n),
                            tx_cfg.sample_rate)
-        regions = default_regions(tx_cfg)
         out = apply_perturbation(fld, build_profile(fld, regions, 10.0))
         freqs = fld.freqs()
         outside = (freqs < regions.f_boi[0]) | (freqs >= regions.f_boi[1])
@@ -174,56 +167,27 @@ class TestNoiseFloor:
         assert abs(10 * math.log10(pa / pb)) <= 0.1
 
 
-@st.composite
-def three_band_geometry(draw):
-    """Random disjoint A/N bands in the positive flat region, B covers the rest."""
-    half = TxConfig().boi_halfwidth
-    edges = sorted(draw(st.lists(
-        st.floats(min_value=1e9, max_value=25e9), min_size=4, max_size=4,
-        unique=True)))
-    a0, a1, n0, n1 = edges
-    if a1 - a0 < 1e8 or n1 - n0 < 1e8 or n0 - a1 < 1e8:
-        # keep bands wide enough to hold a few FFT bins
-        a1, n0, n1 = a0 + 5e8, a0 + 1e9, a0 + 2e9
-    return RegionSet(
-        f_a=[(a0, a1)],
-        f_n=[(n0, n1)],
-        f_b=[(-half, a0), (a1, n0), (n1, half)],
-        f_boi=(-half, half),
-    )
-
-
 class TestProperties:
     @settings(max_examples=20, deadline=None)
     @given(delta_db=st.floats(min_value=-10.0, max_value=10.0))
     def test_conservation_any_boost(self, delta_db):
         cfg = TxConfig(n_symbols=2**10, seed=5)
         ref = generate_reference(cfg)
-        regions = default_regions(cfg)
-        out = apply_perturbation(ref, build_profile(ref, regions, delta_db))
+        out = apply_perturbation(ref, build_profile(ref, REGIONS, delta_db))
         assert out.total_power() == pytest.approx(ref.total_power(), rel=1e-9)
 
-    @settings(max_examples=20, deadline=None)
-    @given(geometry=three_band_geometry())
-    def test_partition_sums_to_one(self, geometry):
-        cfg = TxConfig(n_symbols=2**10, seed=5)
-        ref = generate_reference(cfg)
-        k_a, k_b, k_n = power_fractions(ref, geometry)
-        assert k_a + k_b + k_n == pytest.approx(1.0, abs=1e-9)
 
-
-class TestRegionSet:
-    def test_rejects_overlap(self):
-        with pytest.raises(RegionError, match="overlap"):
-            RegionSet(f_a=[(0.0, 2e9)], f_n=[(1e9, 3e9)], f_b=[(-4e9, 0.0), (3e9, 4e9)],
-                      f_boi=(-4e9, 4e9))
-
-    def test_rejects_gap(self):
-        with pytest.raises(RegionError, match="gap|span"):
-            RegionSet(f_a=[(0.0, 1e9)], f_n=[(2e9, 3e9)], f_b=[(-4e9, 0.0), (3e9, 4e9)],
-                      f_boi=(-4e9, 4e9))
-
-    def test_rejects_empty_interval(self):
-        with pytest.raises(RegionError, match="empty"):
-            RegionSet(f_a=[(1e9, 1e9)], f_n=[], f_b=[(-4e9, 1e9), (1e9, 4e9)],
-                      f_boi=(-4e9, 4e9))
+class TestRegions:
+    def test_tiles_band_of_interest(self, reference):
+        # the one probe geometry covers the occupied band, 1.07 x 56.8 GHz,
+        # edge to edge with no gap and no overlap: every in-band bin of an
+        # FFT grid falls in exactly one of A, B and N
+        lo, hi = REGIONS.f_boi
+        assert (lo, hi) == pytest.approx((-30.388e9, 30.388e9), rel=1e-12)
+        ivs = sorted([*REGIONS.f_a, *REGIONS.f_b, *REGIONS.f_n])
+        assert all(a < b for a, b in ivs)
+        assert ivs[0][0] == lo and ivs[-1][1] == hi
+        assert all(prev_hi == next_lo for (_, prev_hi), (next_lo, _) in zip(ivs, ivs[1:]))
+        m_a, m_b, m_n, m_boi = REGIONS.masks(reference.freqs())
+        np.testing.assert_array_equal(m_a.astype(int) + m_b + m_n, m_boi)
+        assert default_regions(TxConfig()) is REGIONS
