@@ -30,17 +30,20 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.constants as const
 import scipy.fft as sfft
 
 from .field import CARRIER_HZ, SampledField
 
+# Exact by the definition of the SI, and equal to scipy's `constants.c` and
+# `constants.h`, whose import loads the whole CODATA table.
+C_M_PER_S = 299792458.0
+H_PLANCK_J_S = 6.62607015e-34
 MANAKOV_FACTOR = 8.0 / 9.0
 NL_PHASE_STEP_LIMIT = 0.05  # rad per step before the accuracy warning fires
 QUANTUM_NF_DB = 10.0 * math.log10(2.0)
 # 0.1 nm OSNR reference bandwidth at the carrier. Keep the operation order:
 # 0.1e-9 in place of 0.1 * 1e-9 moves the last bit, and so truth_osnr_db.
-REFERENCE_BANDWIDTH_HZ = 0.1 * 1e-9 * CARRIER_HZ**2 / const.c
+REFERENCE_BANDWIDTH_HZ = 0.1 * 1e-9 * CARRIER_HZ**2 / C_M_PER_S
 
 
 @dataclass
@@ -71,9 +74,9 @@ class FiberParams:
     @property
     def beta2(self) -> float:
         """Group-velocity dispersion in s^2/m from D at the carrier."""
-        lam = const.c / CARRIER_HZ
+        lam = C_M_PER_S / CARRIER_HZ
         d_si = self.dispersion_D * 1e-6  # ps/nm/km -> s/m^2
-        return -d_si * lam**2 / (2.0 * math.pi * const.c)
+        return -d_si * lam**2 / (2.0 * math.pi * C_M_PER_S)
 
     @property
     def steps_per_span(self) -> int:
@@ -125,7 +128,7 @@ class LinkConfig:
         if self.nf_db is None:
             return 0.0
         n_sp = 10.0 ** (self.nf_db / 10.0) / 2.0
-        return n_sp * const.h * CARRIER_HZ * (self.gain_linear - 1.0)
+        return n_sp * H_PLANCK_J_S * CARRIER_HZ * (self.gain_linear - 1.0)
 
 
 def span_seed(ase_seed: int, span_idx: int) -> np.random.SeedSequence:

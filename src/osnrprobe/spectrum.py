@@ -2,21 +2,25 @@
 
 PSDs are Welch estimates of both polarizations summed, then smoothed by a
 unit-area 4th-order Super-Gaussian kernel that mimics a grating OSA's
-150 MHz resolution. Average PSD (APSD) over a spectral region is the
-integral of the trace across the region divided by the region width; the
-notch region is integrated over its inner 80% so the OSA's skirts at the
-region edges are discarded. There is one OSA: its resolution, kernel order
-and notch fraction are module constants, not parameters.
+150 MHz resolution. The Welch estimate (Welch, IEEE Trans. Audio
+Electroacoust. AU-15(2):70-73, 1967) is computed here in numpy and equals
+scipy's `signal.welch` bit for bit; importing scipy's signal package would
+add about a second to every start. Average PSD (APSD) over a spectral
+region is the integral of the trace across the region divided by the
+region width; the notch region is integrated over its inner 80% so the
+OSA's skirts at the region edges are discarded. There is one OSA: its
+resolution, kernel order and notch fraction are module constants, not
+parameters.
 """
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import trapezoid
-from scipy.signal import welch
+import scipy.fft as sfft
 
 from .field import SampledField
 
@@ -46,7 +50,7 @@ class PsdTrace:
 
     def total_power(self) -> float:
         """Integral of the trace, W."""
-        return float(trapezoid(self.psd, self.freqs))
+        return float(np.trapezoid(self.psd, self.freqs))
 
     def save_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -66,6 +70,40 @@ def supergaussian_kernel(df: float) -> np.ndarray:
     return k / k.sum()
 
 
+@functools.lru_cache(maxsize=8)
+def _psd_window(nperseg: int, sample_rate: float) -> np.ndarray:
+    """Periodic Hann window scaled to a density, as scipy builds it: the
+    symmetric window over nperseg + 1 points with the last dropped, times
+    1/sqrt(sum(w^2) / (1/fs)) with the builtin sum (`ShortTimeFFT.fac_psd`).
+    Read-only, because the cache hands the same array to every caller."""
+    w = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1)[:-1])
+    w *= 1 / np.sqrt(sum(w**2) / (1 / sample_rate))
+    w.setflags(write=False)
+    return w
+
+
+def welch_psd(fld: SampledField, nperseg: int) -> tuple[np.ndarray, np.ndarray]:
+    """Welch PSD of each polarization: (freqs, (2, nperseg) array) in FFT
+    order, W/Hz, Hann window, 50% overlap, two-sided, no detrend.
+
+    One FFT runs over both polarizations' segments. For a complex128 field
+    (every field the program measures) each row equals scipy's
+    `signal.welch(samples, fs, window="hann", nperseg=nperseg,
+    noverlap=nperseg // 2, detrend=False, return_onesided=False,
+    scaling="density")` bit for bit. The segment mean runs over a
+    contiguous (polarization, frequency, segment) copy, the layout scipy
+    averages, because numpy's pairwise sum depends on it.
+    """
+    # Every hop-th window is scipy's (n - noverlap) // hop segments.
+    hop = nperseg - nperseg // 2
+    windows = np.lib.stride_tricks.sliding_window_view(fld.as_matrix(), nperseg, axis=1)
+    segments = windows[:, ::hop]
+    spec = sfft.fft(segments * _psd_window(nperseg, fld.sample_rate), overwrite_x=True)
+    power = spec.real**2 + spec.imag**2
+    pxx = np.ascontiguousarray(power.transpose(0, 2, 1)).mean(axis=-1)
+    return sfft.fftfreq(nperseg, 1 / fld.sample_rate), pxx
+
+
 def estimate_psd(fld: SampledField) -> PsdTrace:
     """Welch-averaged, OSA-smoothed PSD of a dual-polarization field.
 
@@ -74,7 +112,8 @@ def estimate_psd(fld: SampledField) -> PsdTrace:
     by sample count: a 2^k-symbol record gets sps * 2^m samples per
     segment and the same 27.7 MHz bin at any samples/symbol. Polarizations
     are summed before the Super-Gaussian smoothing so the trace is what a
-    total-power OSA would display.
+    total-power OSA would display. The Welch step is `welch_psd`, which
+    equals scipy's bit for bit.
     """
     n = len(fld)
     if n < MIN_FIELD_SAMPLES:
@@ -82,13 +121,8 @@ def estimate_psd(fld: SampledField) -> PsdTrace:
     nperseg = n
     while nperseg % 2 == 0 and 2 * fld.sample_rate / nperseg <= MAX_NATIVE_BIN_HZ:
         nperseg //= 2
-    psd = None
-    for samples in (fld.samples_x, fld.samples_y):
-        freqs, pxx = welch(samples, fs=fld.sample_rate, window="hann",
-                           nperseg=nperseg, noverlap=nperseg // 2,
-                           detrend=False, return_onesided=False,
-                           scaling="density")
-        psd = pxx if psd is None else psd + pxx
+    freqs, pxx = welch_psd(fld, nperseg)
+    psd = pxx[0] + pxx[1]
     order = np.argsort(freqs)
     freqs = freqs[order]
     psd = psd[order]
@@ -123,7 +157,7 @@ def apsd(trace: PsdTrace, region: Sequence, inner_fraction: float = 1.0) -> floa
         inside = (trace.freqs > lo) & (trace.freqs < hi)
         grid = np.concatenate(([lo], trace.freqs[inside], [hi]))
         vals = np.interp(grid, trace.freqs, trace.psd)
-        integral += trapezoid(vals, grid)
+        integral += np.trapezoid(vals, grid)
         width += hi - lo
     mean_psd = integral / width
     if mean_psd <= 0:

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from osnrprobe.estimator import (
-    CSV_COLUMNS,
     DELTA_GRID_DB,
     N_FOLDS,
     OSNR_CAP_DB,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.signal import welch
 
 from osnrprobe.field import SampledField
 from osnrprobe.fiberlink import FiberParams, LinkConfig, simulate_link
@@ -13,6 +14,7 @@ from osnrprobe.spectrum import (
     estimate_psd,
     measure,
     supergaussian_kernel,
+    welch_psd,
 )
 from osnrprobe.waveform import (REGIONS, TxConfig, apply_perturbation, build_profile,
                                 generate_reference)
@@ -64,6 +66,25 @@ class TestEstimatePsd:
             freqs = estimate_psd(fld).freqs
             bins.add(round(float(freqs[1] - freqs[0])))
         assert bins == {round(56.8e9 / 2**11)}
+
+    @pytest.mark.parametrize("n, fs, nperseg", [
+        (2**15, 113.6e9, 2**12),      # desk record: 15 segments
+        (3 * 2**14, 170.4e9, 3 * 2**11),  # 3 samples/symbol
+        (3**10, 170.4e9, 3**10),      # one segment of odd length
+        (2**18, 113.6e9, 2**12),      # paper record: 127 segments
+    ])
+    def test_welch_matches_scipy_bit_for_bit(self, n, fs, nperseg):
+        rng = np.random.default_rng(n)
+        fld = SampledField(*(rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))), fs)
+        freqs, pxx = welch_psd(fld, nperseg)
+        for samples, row in zip((fld.samples_x, fld.samples_y), pxx):
+            f_ref, p_ref = welch(samples, fs=fs, window="hann", nperseg=nperseg,
+                                 noverlap=nperseg // 2, detrend=False,
+                                 return_onesided=False, scaling="density")
+            assert np.array_equal(freqs, f_ref)
+            assert np.array_equal(row, p_ref)
+        # estimate_psd picks this segment for this record
+        assert np.array_equal(estimate_psd(fld).freqs, np.sort(freqs))
 
     def test_rejects_short_field(self):
         short = SampledField(np.zeros(4096, complex), np.zeros(4096, complex), 170.4e9)
