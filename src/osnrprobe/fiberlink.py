@@ -268,26 +268,37 @@ def simulate_link(fields, link: LinkConfig, ase_seeds, taps, workers: int = 2):
     for every k in taps (0 is the launch, the rest in 1..link.n_spans; any
     other tap raises before the launch is yielded).
     `received` reads the fields back one at a time as complex128
-    `SampledField`s from the live stack: consume it before the next tap."""
-    stack = None
-    for i, (fld, _) in enumerate(zip(fields, ase_seeds, strict=True)):
-        if stack is None:
-            stack = np.empty((2 * len(ase_seeds), len(fld)), np.complex64)
-        stack[2 * i], stack[2 * i + 1] = fld.samples_x, fld.samples_y
-        power = fld.total_power()
-        if power > 0:
-            stack[2 * i:2 * i + 2] *= np.float32(math.sqrt(link.launch_power_w / power))
+    `SampledField`s from the live stack: consume it before the next tap.
+    An empty `fields` raises ValueError on the first next()."""
+    stack, sample_rate = _launch(fields, link, ase_seeds)
 
     def received():
         for i in range(0, len(stack), 2):
             yield SampledField(stack[i].astype(complex), stack[i + 1].astype(complex),
-                               fld.sample_rate)
+                               sample_rate)
 
-    spans = propagate(stack, fld.sample_rate, link, ase_seeds, [k for k in taps if k], workers)
+    spans = propagate(stack, sample_rate, link, ase_seeds, [k for k in taps if k], workers)
     if 0 in taps:
         yield 0, received(), 0.0
     for k, max_phi in spans:
         yield k, received(), max_phi
+
+
+def _launch(fields, link: LinkConfig, ase_seeds):
+    """The complex64 launch stack of `simulate_link` and the fields' sample
+    rate. Only the stack outlives this call, not the last field drawn."""
+    stack = None
+    for i, (fld, _) in enumerate(zip(fields, ase_seeds, strict=True)):
+        if stack is None:
+            stack = np.empty((2 * len(ase_seeds), len(fld)), np.complex64)
+            sample_rate = fld.sample_rate
+        stack[2 * i], stack[2 * i + 1] = fld.samples_x, fld.samples_y
+        power = fld.total_power()
+        if power > 0:
+            stack[2 * i:2 * i + 2] *= np.float32(math.sqrt(link.launch_power_w / power))
+    if stack is None:
+        raise ValueError("simulate_link needs at least one field to launch")
+    return stack, sample_rate
 
 
 def analytic_osnr(link: LinkConfig) -> float:

@@ -86,8 +86,9 @@ def welch_psd(fld: SampledField, nperseg: int) -> tuple[np.ndarray, np.ndarray]:
     """Welch PSD of each polarization: (freqs, (2, nperseg) array) in FFT
     order, W/Hz, Hann window, 50% overlap, two-sided, no detrend.
 
-    One FFT runs over both polarizations' segments. For a complex128 field
-    (every field the program measures) each row equals scipy's
+    Each polarization's segments are windowed straight into one
+    (2, segments, nperseg) array, and one FFT runs over it. For a complex128
+    field (every field the program measures) each row equals scipy's
     `signal.welch(samples, fs, window="hann", nperseg=nperseg,
     noverlap=nperseg // 2, detrend=False, return_onesided=False,
     scaling="density")` bit for bit. The segment mean runs over a
@@ -96,9 +97,14 @@ def welch_psd(fld: SampledField, nperseg: int) -> tuple[np.ndarray, np.ndarray]:
     """
     # Every hop-th window is scipy's (n - noverlap) // hop segments.
     hop = nperseg - nperseg // 2
-    windows = np.lib.stride_tricks.sliding_window_view(fld.as_matrix(), nperseg, axis=1)
-    segments = windows[:, ::hop]
-    spec = sfft.fft(segments * _psd_window(nperseg, fld.sample_rate), overwrite_x=True)
+    n_seg = (len(fld) - nperseg // 2) // hop
+    window = _psd_window(nperseg, fld.sample_rate)
+    dtype = np.result_type(fld.samples_x, fld.samples_y, window)
+    segments = np.empty((2, n_seg, nperseg), dtype)
+    for row, samples in zip(segments, (fld.samples_x, fld.samples_y)):
+        windows = np.lib.stride_tricks.sliding_window_view(samples, nperseg)
+        np.multiply(windows[::hop], window, out=row)
+    spec = sfft.fft(segments, overwrite_x=True)
     power = spec.real**2 + spec.imag**2
     pxx = np.ascontiguousarray(power.transpose(0, 2, 1)).mean(axis=-1)
     return sfft.fftfreq(nperseg, 1 / fld.sample_rate), pxx

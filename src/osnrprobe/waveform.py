@@ -5,8 +5,13 @@ a constant ratio inside each of three disjoint baseband regions: the boosted
 bands (A), the compensating remainder (B), and the notch (N, zeroed). Ratios
 are chosen so total transmitted power never changes. The regions are one
 constant, `REGIONS`, which tiles the signal's occupied band.
+
+Every transform runs over both polarizations at once, as one (2, N) numpy
+FFT call, and a field's forward transform is `SampledField.spectrum`,
+computed once and shared by every profile and probe built from it.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -132,6 +137,16 @@ class PerturbationProfile:
             )
 
 
+@functools.lru_cache(maxsize=8)
+def _masks(regions: RegionSet, n: int, sample_rate: float):
+    """regions.masks on the n-point FFT grid at sample_rate, read-only,
+    because the cache hands the same arrays to every caller."""
+    masks = regions.masks(np.fft.fftfreq(n, d=1.0 / sample_rate))
+    for m in masks:
+        m.setflags(write=False)
+    return masks
+
+
 def rrc_spectrum(freqs: np.ndarray) -> np.ndarray:
     """Raised-cosine power spectrum (unit mid-band level) of the one signal
     (`TxConfig.baud_rate`, `TxConfig.rolloff`) on a frequency grid.
@@ -153,23 +168,24 @@ def rrc_spectrum(freqs: np.ndarray) -> np.ndarray:
 def generate_reference(cfg: TxConfig) -> SampledField:
     """Synthesize the seeded DP-QPSK reference waveform at unit mean power.
 
-    Symbols are i.i.d. uniform over the 4-point alphabet per polarization;
-    shaping is done spectrally (circular convolution), so the waveform is
-    exactly cyclostationary on the grid and its spectrum follows the analytic
-    root-raised-cosine shape with no filter transients.
+    Symbols are i.i.d. uniform over the 4-point alphabet per polarization,
+    the x symbols drawn first; shaping is done spectrally (circular
+    convolution), so the waveform is exactly cyclostationary on the grid and
+    its spectrum follows the analytic root-raised-cosine shape with no
+    filter transients.
     """
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xD9)))
     n = cfg.n_symbols * cfg.samples_per_symbol
     shaping = np.sqrt(rrc_spectrum(np.fft.fftfreq(n, 1.0 / cfg.sample_rate)))
-    pols = []
-    for _ in range(2):
-        symbols = QPSK_POINTS[rng.integers(0, 4, cfg.n_symbols)]
-        impulses = np.zeros(n, dtype=complex)
-        impulses[:: cfg.samples_per_symbol] = symbols
-        pols.append(np.fft.ifft(np.fft.fft(impulses) * shaping))
+    pols = np.zeros((2, n), dtype=complex)
+    for impulses in pols:
+        impulses[:: cfg.samples_per_symbol] = QPSK_POINTS[rng.integers(0, 4, cfg.n_symbols)]
+    np.fft.fft(pols, axis=1, out=pols)
+    pols *= shaping
+    np.fft.ifft(pols, axis=1, out=pols)
     x, y = pols
-    scale = 1.0 / math.sqrt(np.mean(np.abs(x) ** 2) + np.mean(np.abs(y) ** 2))
-    return SampledField(x * scale, y * scale, cfg.sample_rate)
+    pols *= 1.0 / math.sqrt(np.mean(np.abs(x) ** 2) + np.mean(np.abs(y) ** 2))
+    return SampledField(x, y, cfg.sample_rate)
 
 
 def power_fractions(fld: SampledField, regions: RegionSet):
@@ -179,8 +195,9 @@ def power_fractions(fld: SampledField, regions: RegionSet):
     profile balanced with these fractions conserves power exactly when
     applied to the same field.
     """
-    psd = np.abs(np.fft.fft(fld.samples_x)) ** 2 + np.abs(np.fft.fft(fld.samples_y)) ** 2
-    m_a, m_b, m_n, m_boi = regions.masks(fld.freqs())
+    spec_x, spec_y = fld.spectrum
+    psd = np.abs(spec_x) ** 2 + np.abs(spec_y) ** 2
+    m_a, m_b, m_n, m_boi = _masks(regions, len(fld), fld.sample_rate)
     total = psd[m_boi].sum()
     if total <= 0:
         raise ValueError("field carries no in-band power")
@@ -221,14 +238,13 @@ def apply_perturbation(fld: SampledField, profile: PerturbationProfile) -> Sampl
     interest are untouched. Amplitude (not PSD) scaling is the unique
     phase-preserving realization of the piecewise PSD ratios.
     """
-    freqs = fld.freqs()
-    m_a, m_b, m_n, _ = profile.regions.masks(freqs)
-    gain = np.ones(len(freqs))
+    m_a, m_b, m_n, _ = _masks(profile.regions, len(fld), fld.sample_rate)
+    gain = np.ones(len(fld))
     gain[m_a] = math.sqrt(profile.delta_a)
     gain[m_b] = math.sqrt(profile.delta_b)
     gain[m_n] = 0.0
-    x = np.fft.ifft(np.fft.fft(fld.samples_x) * gain)
-    y = np.fft.ifft(np.fft.fft(fld.samples_y) * gain)
+    spec = fld.spectrum * gain
+    x, y = np.fft.ifft(spec, axis=1, out=spec)
     return SampledField(x, y, fld.sample_rate)
 
 
@@ -242,25 +258,27 @@ def add_tx_noise_floor(fld: SampledField, cfg: TxConfig, seed) -> SampledField:
     profile.
     """
     if cfg.nfl_rel_db is None:
-        return fld.copy()
+        return fld  # read-only samples: sharing the field is as safe as a copy
     lo, hi = REGIONS.f_boi
     n = len(fld)
-    boi = REGIONS.masks(fld.freqs())[3]
+    boi = _masks(REGIONS, n, fld.sample_rate)[3]
     width = hi - lo
-    psd_x = np.abs(np.fft.fft(fld.samples_x)) ** 2
-    psd_y = np.abs(np.fft.fft(fld.samples_y)) ** 2
-    in_band_power = (psd_x[boi].sum() + psd_y[boi].sum()) / n**2
+    psd_x, psd_y = np.abs(fld.spectrum[:, boi]) ** 2
+    in_band_power = (psd_x.sum() + psd_y.sum()) / n**2
     signal_apsd = in_band_power / width  # both polarizations, W/Hz
     noise_psd_per_pol = 0.5 * signal_apsd * 10.0 ** (cfg.nfl_rel_db / 10.0)
 
     rng = np.random.default_rng(seed)
     # E|W[k]|^2 = psd * n * fs on in-band bins makes the periodogram sit at
-    # the target density.
+    # the target density. The x polarization's (real, imaginary) draws come
+    # first, then the y polarization's.
     amp = math.sqrt(noise_psd_per_pol * n * fld.sample_rate / 2.0)
-    out = []
-    for samples in (fld.samples_x, fld.samples_y):
-        spec = np.zeros(n, dtype=complex)
-        draws = rng.standard_normal((2, int(boi.sum())))
-        spec[boi] = amp * (draws[0] + 1j * draws[1])
-        out.append(samples + np.fft.ifft(spec))
-    return SampledField(out[0], out[1], fld.sample_rate)
+    draws = rng.standard_normal((2, 2, psd_x.size))
+    draws *= amp
+    spec = np.zeros((2, n), dtype=complex)
+    spec.real[:, boi] = draws[:, 0]
+    spec.imag[:, boi] = draws[:, 1]
+    x, y = np.fft.ifft(spec, axis=1, out=spec)
+    x += fld.samples_x
+    y += fld.samples_y
+    return SampledField(x, y, fld.sample_rate)

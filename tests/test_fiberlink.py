@@ -206,6 +206,11 @@ class TestSimulateLink:
         with pytest.raises(ValueError, match="outside"):
             propagate(reference.as_matrix(), reference.sample_rate, link, [0], [0])
 
+    def test_rejects_no_fields(self):
+        link = LinkConfig(FiberParams(), 1, 0.0, 4.5)
+        with pytest.raises(ValueError, match="at least one field"):
+            next(simulate_link([], link, [], (0, 1)))
+
     def test_deterministic_given_seed(self, reference):
         link = LinkConfig(FiberParams(step_km=2.0), 2, 2.0, 4.5)
         (_, (a,), _), = simulate_link([reference], link, [11], [2])

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -30,3 +32,13 @@ def test_rejects_non_finite_power():
     x[0] = np.inf
     with pytest.raises(ValueError, match="finite"):
         SampledField(x, np.zeros(8, complex), 1e9)
+
+
+def test_pickled_copy_is_read_only_and_leaves_the_spectrum_behind():
+    rng = np.random.default_rng(4)
+    fld = SampledField(rng.standard_normal(16) + 0j, rng.standard_normal(16) + 0j, 1e9)
+    assert fld.spectrum.shape == (2, 16)
+    copy = pickle.loads(pickle.dumps(fld))
+    assert "spectrum" not in vars(copy)
+    assert np.array_equal(copy.samples_x, fld.samples_x)
+    assert not copy.samples_x.flags.writeable and not copy.samples_y.flags.writeable
