@@ -41,7 +41,7 @@ def cmd_dataset(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    dataset = estimator.Dataset.from_csv(args.dataset)
+    dataset = estimator.Dataset(estimator.load_rows(args.dataset))
     report, _ = estimator.cross_validate(dataset)
     coeffs = estimator.fit_least_squares(dataset)  # final model on all rows
     coeffs.save(args.coeffs)
@@ -53,7 +53,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    dataset = estimator.Dataset.from_csv(args.dataset)
+    dataset = estimator.Dataset(estimator.load_rows(args.dataset))
     coeffs = estimator.FitCoefficients.load(args.coeffs)
     report = estimator.evaluate(dataset, coeffs)
     print(json.dumps(report.as_dict(), indent=2))

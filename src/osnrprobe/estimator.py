@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .spectrum import ApsdReport
 
@@ -146,10 +145,6 @@ class Dataset:
     def capped(self) -> list:
         return [r for r in self.rows if r.truth_osnr_db <= OSNR_CAP_DB]
 
-    @classmethod
-    def from_csv(cls, path) -> "Dataset":
-        return cls(load_rows(path))
-
 
 def in_file_order(rows) -> list:
     """Rows in the order save_rows writes them: by power, NF, spans."""
@@ -195,7 +190,7 @@ def _design(rows: Sequence[FeatureRow]):
 
 
 def fit_least_squares(data: Dataset) -> FitCoefficients:
-    """Fit k0..k6 on the capped rows by orthogonal decomposition.
+    """Fit k0..k6 on the capped rows with one SVD-based least-squares call.
 
     Rank deficiency (for example a linear-regime dataset where every notch
     APSD sits on the same floor) raises RankDeficientError naming the
@@ -206,14 +201,15 @@ def fit_least_squares(data: Dataset) -> FitCoefficients:
         raise ValueError(f"need >= {len(FEATURE_NAMES)} training rows under the cap, "
                          f"have {len(rows)}")
     x, y = _design(rows)
-    # Column-pivoted QR exposes which columns collapsed onto the others.
-    _, r, piv = scipy.linalg.qr(x, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = diag.max() * max(x.shape) * np.finfo(float).eps * 1e3
-    bad = diag < tol
-    if bad.any():
-        raise RankDeficientError([FEATURE_NAMES[piv[i]] for i in np.nonzero(bad)[0]])
-    coeffs, *_ = np.linalg.lstsq(x, y, rcond=None)
+    coeffs, _, _, s = np.linalg.lstsq(x, y, rcond=None)
+    n_null = np.count_nonzero(s < s[0] * max(x.shape) * np.finfo(float).eps * 1e3)
+    if n_null:
+        # The columns with weight in the right null space are the ones that
+        # collapsed onto each other; a column outside every dependency keeps
+        # only rounding-level weight, far under 1e-6.
+        null = np.linalg.svd(x, full_matrices=False)[2][-n_null:]
+        weight = np.linalg.norm(null, axis=0)
+        raise RankDeficientError([FEATURE_NAMES[i] for i in np.nonzero(weight > 1e-6)[0]])
     return FitCoefficients(coeffs)
 
 

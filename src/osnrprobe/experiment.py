@@ -17,8 +17,9 @@ import json
 import math
 import os
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields, asdict, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,13 +41,14 @@ class ExperimentConfig:
     changes the simulated rows; the signal, the probe geometry, the probe
     grid and the OSNR cap are constants. A record too short to measure, a
     lossless fiber or a grid that repeats a value is rejected here, before
-    anything propagates."""
+    anything propagates; `from_json` also rejects a value of the wrong JSON
+    type, by key."""
 
     tx: TxConfig = field(default_factory=TxConfig)
     fiber: FiberParams = field(default_factory=FiberParams)
-    powers_dbm: tuple = (-2.0, 0.0, 2.0, 4.0, 6.0)
-    spans: tuple = tuple(range(1, 31))
-    nf_dbs: tuple = (4.5, 5.5, 6.5, 7.5)
+    powers_dbm: tuple[float, ...] = (-2.0, 0.0, 2.0, 4.0, 6.0)
+    spans: tuple[int, ...] = tuple(range(1, 31))
+    nf_dbs: tuple[float, ...] = (4.5, 5.5, 6.5, 7.5)
     seed: int = 1234
 
     def __post_init__(self):
@@ -76,16 +78,7 @@ class ExperimentConfig:
     dtype = np.complex64  # not a field: perfbench reads it; simulate_link always runs complex64
 
     def to_json(self, path=None) -> str:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "tx": asdict(self.tx),
-            "fiber": asdict(self.fiber),
-            "powers_dbm": list(self.powers_dbm),
-            "spans": list(self.spans),
-            "nf_dbs": list(self.nf_dbs),
-            "seed": self.seed,
-        }
-        text = json.dumps(doc, indent=2) + "\n"
+        text = json.dumps({"schema_version": SCHEMA_VERSION, **asdict(self)}, indent=2) + "\n"
         if path is not None:
             Path(path).write_text(text)
         return text
@@ -100,21 +93,48 @@ class ExperimentConfig:
         version = doc.pop("schema_version", None)
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported config schema_version {version!r}")
-        doc["tx"] = TxConfig(**_known_keys(TxConfig, doc["tx"], "tx"))
-        doc["fiber"] = FiberParams(**_known_keys(FiberParams, doc["fiber"], "fiber"))
-        return cls(**_known_keys(cls, doc, "config"))
+        return _from_doc(cls, doc, "config")
 
 
-def _known_keys(kind, doc: dict, where: str) -> dict:
-    """doc, once it is an object and every key in it is a field of the
-    dataclass `kind`."""
+def _from_doc(kind, doc, where: str):
+    """The dataclass `kind` built from doc, once doc is an object whose every
+    key is a field of `kind` and holds a JSON value of the field's type."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where} must be a JSON object, got {json.dumps(doc)}")
-    unknown = sorted(set(doc) - {f.name for f in fields(kind)})
+    types = {f.name: f.type for f in fields(kind)}
+    unknown = sorted(set(doc) - set(types))
     if unknown:
         raise ValueError(f"unknown {where} key(s) {unknown} for schema_version "
                          f"{SCHEMA_VERSION}")
-    return doc
+    for key, value in doc.items():
+        if is_dataclass(types[key]):
+            doc[key] = _from_doc(types[key], value, key)
+        elif not _is_json_type(value, types[key]):
+            raise ValueError(f"{where} key {key!r} must be {_json_type_name(types[key])}, "
+                             f"got {json.dumps(value)}")
+    return kind(**doc)
+
+
+def _is_json_type(value, kind) -> bool:
+    """Whether a JSON value has the type of a config field: int, float,
+    None, tuple[T, ...] (an array) or Optional[T]. Booleans are not numbers."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if isinstance(value, bool):
+        return False
+    if origin is tuple:
+        return isinstance(value, list) and all(_is_json_type(v, args[0]) for v in value)
+    if origin is typing.Union:
+        return any(_is_json_type(value, k) for k in args)
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _json_type_name(kind) -> str:
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is tuple:
+        return "an array of " + {int: "integers", float: "numbers"}[args[0]]
+    if origin is typing.Union:
+        return " or ".join(_json_type_name(k) for k in args)
+    return {int: "an integer", float: "a number", type(None): "null"}[kind]
 
 
 def desk_preset() -> ExperimentConfig:
@@ -185,9 +205,17 @@ def run_dataset(cfg: ExperimentConfig, out_path, workers: int = 1,
 
     Resumable: rows already present in out_path are kept and their (power,
     NF) work units skipped, so interrupting and rerunning converges to the
-    identical file an uninterrupted run would have produced.
+    identical file an uninterrupted run would have produced. The config is
+    written beside the CSV (`<out_path>.config.json`), and an existing CSV
+    whose config file is missing or differs is refused before anything is
+    simulated: its rows came from other seeds or physics.
     """
     out_path = Path(out_path)
+    config_path = out_path.with_name(out_path.name + ".config.json")
+    config = cfg.to_json()
+    if out_path.exists() and (not config_path.exists() or config_path.read_text() != config):
+        raise ValueError(f"{out_path} was not written by this config ({config_path} is "
+                         "missing or differs); move it aside or write to another path")
     ref = generate_reference(cfg.tx)
     profiles = [build_profile(ref, REGIONS, delta_db) for delta_db in DELTA_GRID_DB]
     grid_keys = {_scenario_key(p, nf, s) for p in cfg.powers_dbm
@@ -205,6 +233,9 @@ def run_dataset(cfg: ExperimentConfig, out_path, workers: int = 1,
             log(f"resuming: {len(rows_by_key)} rows already in {out_path}")
         if dropped:
             log(f"dropping {dropped} rows outside the configured grid")
+    else:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        config_path.write_text(config)
 
     units = []
     for ip, power in enumerate(cfg.powers_dbm):
@@ -216,7 +247,6 @@ def run_dataset(cfg: ExperimentConfig, out_path, workers: int = 1,
     def store(unit_rows=()):
         for row in unit_rows:
             rows_by_key[_scenario_key(row.launch_power_dbm, row.nf_db, row.n_spans)] = row
-        out_path.parent.mkdir(parents=True, exist_ok=True)
         tmp = out_path.with_suffix(out_path.suffix + ".tmp")
         estimator.save_rows(list(rows_by_key.values()), tmp)
         os.replace(tmp, out_path)

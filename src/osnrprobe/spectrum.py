@@ -3,9 +3,9 @@
 PSDs are Welch estimates of both polarizations summed, then smoothed by a
 unit-area 4th-order Super-Gaussian kernel that mimics a grating OSA's
 150 MHz resolution. The Welch estimate (Welch, IEEE Trans. Audio
-Electroacoust. AU-15(2):70-73, 1967) is computed here in numpy and equals
-scipy's `signal.welch` bit for bit; importing scipy's signal package would
-add about a second to every start. Average PSD (APSD) over a spectral
+Electroacoust. AU-15(2):70-73, 1967) is computed here with numpy's FFT and
+equals scipy's `signal.welch` bit for bit; importing scipy's signal package
+would add about a second to every start. Average PSD (APSD) over a spectral
 region is the integral of the trace across the region divided by the
 region width; the notch region is integrated over its inner 80% so the
 OSA's skirts at the region edges are discarded. There is one OSA: its
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.fft as sfft
 
 from .field import SampledField
 
@@ -87,8 +86,9 @@ def welch_psd(fld: SampledField, nperseg: int) -> tuple[np.ndarray, np.ndarray]:
     order, W/Hz, Hann window, 50% overlap, two-sided, no detrend.
 
     Each polarization's segments are windowed straight into one
-    (2, segments, nperseg) array, and one FFT runs over it. For a complex128
-    field (every field the program measures) each row equals scipy's
+    (2, segments, nperseg) array, and one numpy FFT runs over it in place.
+    numpy's and scipy's FFTs give the same bits in complex128, so for a
+    complex128 field (every field the program measures) each row equals scipy's
     `signal.welch(samples, fs, window="hann", nperseg=nperseg,
     noverlap=nperseg // 2, detrend=False, return_onesided=False,
     scaling="density")` bit for bit. The segment mean runs over a
@@ -104,10 +104,10 @@ def welch_psd(fld: SampledField, nperseg: int) -> tuple[np.ndarray, np.ndarray]:
     for row, samples in zip(segments, (fld.samples_x, fld.samples_y)):
         windows = np.lib.stride_tricks.sliding_window_view(samples, nperseg)
         np.multiply(windows[::hop], window, out=row)
-    spec = sfft.fft(segments, overwrite_x=True)
-    power = spec.real**2 + spec.imag**2
+    np.fft.fft(segments, out=segments)
+    power = segments.real**2 + segments.imag**2
     pxx = np.ascontiguousarray(power.transpose(0, 2, 1)).mean(axis=-1)
-    return sfft.fftfreq(nperseg, 1 / fld.sample_rate), pxx
+    return np.fft.fftfreq(nperseg, 1 / fld.sample_rate), pxx
 
 
 def estimate_psd(fld: SampledField) -> PsdTrace:

@@ -97,6 +97,16 @@ class TestFit:
         with pytest.raises(RankDeficientError, match=r"p_n"):
             fit_least_squares(Dataset(rows))
 
+        # two notches that differ by far less than the rank tolerance: both
+        # are named, and nothing else
+        rows = synthetic_rows()
+        noise = np.random.default_rng(2).normal(size=len(rows))
+        for row, eps in zip(rows, noise):
+            row.p_n_db = (*row.p_n_db[:4], row.p_n_db[3] + 1e-11 * eps)
+        with pytest.raises(RankDeficientError) as err:
+            fit_least_squares(Dataset(rows))
+        assert err.value.columns == ("p_n[+5dB]", "p_n[+10dB]")
+
 
 class TestPredict:
     def test_intercept_only(self):

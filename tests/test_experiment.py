@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import shlex
 from pathlib import Path
 
@@ -46,6 +47,11 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         cfg.to_json(path)
         assert ExperimentConfig.from_json(path) == cfg
+        # null turns the floor off, and an integer is a number
+        doc = json.loads(cfg.to_json())
+        doc["tx"]["nfl_rel_db"], doc["fiber"]["span_length_km"] = None, 100
+        no_floor = dataclasses.replace(cfg, tx=dataclasses.replace(cfg.tx, nfl_rel_db=None))
+        assert ExperimentConfig.from_json(json.dumps(doc)) == no_floor
 
     def test_rejects_unknown_schema(self):
         doc = json.loads(tiny_config().to_json())
@@ -76,6 +82,27 @@ class TestConfig:
         doc = json.loads(tiny_config().to_json())
         (doc[where] if where else doc)[key] = None
         with pytest.raises(ValueError, match=match):
+            ExperimentConfig.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("where, key, value, kind", [
+        pytest.param(None, "powers_dbm", "26", "an array of numbers", id="powers-string"),
+        pytest.param(None, "nf_dbs", [True], "an array of numbers", id="nf-bool"),
+        pytest.param(None, "spans", 5, "an array of integers", id="spans-scalar"),
+        pytest.param(None, "spans", [1.0, 2.0], "an array of integers", id="spans-float"),
+        pytest.param(None, "seed", 1.5, "an integer", id="seed-float"),
+        pytest.param("tx", "n_symbols", 16384.0, "an integer", id="n_symbols-float"),
+        pytest.param("tx", "seed", True, "an integer", id="tx-seed-bool"),
+        pytest.param("tx", "nfl_rel_db", "-22.5", "a number or null", id="nfl-string"),
+        pytest.param("fiber", "gamma", "1.3", "a number", id="gamma-string"),
+        pytest.param("fiber", "step_km", False, "a number", id="step-bool"),
+    ])
+    def test_rejects_wrong_json_type(self, where, key, value, kind):
+        # each would otherwise be coerced ("26" to (2.0, 6.0), true to 1.0),
+        # fail later inside a unit, or raise a bare TypeError
+        doc = json.loads(tiny_config().to_json())
+        (doc[where] if where else doc)[key] = value
+        with pytest.raises(ValueError, match=f"{where or 'config'} key '{key}' must be {kind}, "
+                                             f"got {re.escape(json.dumps(value))}$"):
             ExperimentConfig.from_json(json.dumps(doc))
 
     def test_missing_file_is_not_json_text(self, tmp_path):
@@ -161,6 +188,7 @@ class TestRunDataset:
         for kept_dbm in (0.0, 2.0):
             partial = tmp_path / f"partial{kept_dbm}.csv"
             estimator.save_rows([r for r in rows if r.launch_power_dbm == kept_dbm], partial)
+            Path(f"{partial}.config.json").write_text(cfg.to_json())
             resumed = run_dataset(cfg, partial, log=lambda *_: None)
             assert file_hash(partial) == file_hash(full)
             assert resumed == estimator.load_rows(partial)
@@ -306,6 +334,36 @@ class TestResumeHygiene:
         back = estimator.load_rows(out)
         assert all(r.launch_power_dbm == 2.0 for r in back)
 
+    def test_csv_of_another_config_is_refused(self, tmp_path, monkeypatch):
+        # a seed-5 file is no partial result of a seed-6 run, and neither is
+        # a file with no config beside it; both fail before any simulation
+        cfg = tiny_config()
+        out = tmp_path / "rows.csv"
+        config = tmp_path / "rows.csv.config.json"
+        run_dataset(cfg, out, log=lambda *_: None)
+        assert config.read_text() == cfg.to_json()
+        first_hash = file_hash(out)
+        reseeded = dataclasses.replace(cfg, seed=6)
+
+        def no_reference(*args, **kwargs):
+            raise AssertionError("a reference was synthesized before the config check")
+
+        with monkeypatch.context() as m:
+            m.setattr(experiment, "generate_reference", no_reference)
+            with pytest.raises(ValueError, match="not written by this config"):
+                run_dataset(reseeded, out, log=lambda *_: None)
+            config.unlink()
+            with pytest.raises(ValueError, match="not written by this config"):
+                run_dataset(cfg, out, log=lambda *_: None)
+        assert file_hash(out) == first_hash
+
+        # without the CSV it is a fresh run, whatever config sits beside it
+        config.write_text(cfg.to_json())
+        out.unlink()
+        rows = run_dataset(reseeded, out, log=lambda *_: None)
+        assert config.read_text() == reseeded.to_json()
+        assert len(rows) == 2 and file_hash(out) != first_hash
+
 
 class TestReproducibility:
     def test_desk_unit_reproduces_committed_row(self, tmp_path):
@@ -323,3 +381,7 @@ class TestReproducibility:
         assert header == committed[0]
         assert row in committed
         assert row.startswith("6.0,1,7.5,")
+
+    def test_committed_dataset_carries_its_config(self):
+        config = DESK_DATASET.with_name(DESK_DATASET.name + ".config.json")
+        assert config.read_text() == desk_preset().to_json()
