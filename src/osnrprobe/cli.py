@@ -1,10 +1,9 @@
 """Command-line driver: dataset generation, fitting, scoring, and exports."""
 
 import argparse
+import dataclasses
 import json
 import sys
-
-import numpy as np
 
 from . import estimator, margin
 from .experiment import PRESETS, ExperimentConfig, _nfl_seed, run_dataset
@@ -15,13 +14,10 @@ from .waveform import (REGIONS, add_tx_noise_floor, apply_perturbation, build_pr
 
 
 def _load_config(args) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        cfg = ExperimentConfig.from_json(args.config)
-    else:
-        cfg = PRESETS[args.preset]()
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-        cfg.tx.seed = args.seed
+    cfg = ExperimentConfig.from_json(args.config) if args.config else PRESETS[args.preset]()
+    if args.seed is not None:  # through the constructors, so their checks see it
+        cfg = dataclasses.replace(cfg, seed=args.seed,
+                                  tx=dataclasses.replace(cfg.tx, seed=args.seed))
     return cfg
 
 
@@ -63,11 +59,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_margin(args) -> int:
-    if not args.snr_step_db > 0 or args.snr_max_db < args.snr_min_db:
-        raise ValueError("need --snr-step-db > 0 and --snr-max-db >= --snr-min-db, got "
-                         f"step {args.snr_step_db:g}, {args.snr_min_db:g}..{args.snr_max_db:g}")
-    snr_grid = np.arange(args.snr_min_db, args.snr_max_db + 1e-9, args.snr_step_db)
-    rows = margin.margin_curve([b * 1e9 for b in args.bwd_ghz], [float(s) for s in snr_grid])
+    rows = margin.margin_curve()
     margin.save_margin_csv(rows, args.out)
     print(f"wrote {len(rows)} margin points to {args.out}")
     return 0
@@ -118,11 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("margin", help="export the probe-bandwidth SNR penalty table")
     p.add_argument("--out", required=True)
-    p.add_argument("--bwd-ghz", type=float, nargs="+",
-                   default=[b / 1e9 for b in margin.DEFAULT_PROBE_BANDWIDTHS_HZ])
-    p.add_argument("--snr-min-db", type=float, default=0.0)
-    p.add_argument("--snr-max-db", type=float, default=30.0)
-    p.add_argument("--snr-step-db", type=float, default=1.0)
     p.set_defaults(func=cmd_margin)
 
     p = sub.add_parser("psd", parents=[common],

@@ -127,8 +127,21 @@ class FitCoefficients:
 
     @classmethod
     def load(cls, path) -> "FitCoefficients":
+        """Read what `save` writes: a JSON object whose keys are exactly k<i>
+        for each of FEATURE_NAMES, all numbers. Another model's file is refused."""
         raw = json.loads(Path(path).read_text())
-        return cls(np.array([raw[f"k{i}"] for i in range(len(FEATURE_NAMES))]))
+        names = [f"k{i}" for i in range(len(FEATURE_NAMES))]
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path} must hold a JSON object, got {json.dumps(raw)}")
+        missing, extra = [k for k in names if k not in raw], sorted(set(raw) - set(names))
+        if missing or extra:
+            raise ValueError(f"{path} must hold the keys k0..{names[-1]}: "
+                             f"missing {missing}, extra {extra}")
+        bad = [k for k in names
+               if isinstance(raw[k], bool) or not isinstance(raw[k], (int, float))]
+        if bad:
+            raise ValueError(f"{path} values of {bad} must be numbers")
+        return cls(np.array([raw[k] for k in names], dtype=float))
 
 
 @dataclass

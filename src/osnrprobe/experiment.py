@@ -40,9 +40,9 @@ class ExperimentConfig:
     """Everything a dataset run needs, JSON round-trippable. Every field
     changes the simulated rows; the signal, the probe geometry, the probe
     grid and the OSNR cap are constants. A record too short to measure, a
-    lossless fiber or a grid that repeats a value is rejected here, before
-    anything propagates; `from_json` also rejects a value of the wrong JSON
-    type, by key."""
+    lossless fiber, a grid that repeats a value or a negative seed is
+    rejected here, before anything propagates; `from_json` also rejects a
+    value of the wrong JSON type, by key."""
 
     tx: TxConfig = field(default_factory=TxConfig)
     fiber: FiberParams = field(default_factory=FiberParams)
@@ -63,6 +63,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} repeats a value: {list(values)}")
         if min(self.spans) < 1:
             raise ValueError("span counts must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not all(math.isfinite(p) for p in self.powers_dbm):
             raise ValueError(f"launch powers must be finite, got {list(self.powers_dbm)} dBm")
         if not self.fiber.span_loss_db > 0:
@@ -77,19 +79,16 @@ class ExperimentConfig:
 
     dtype = np.complex64  # not a field: perfbench reads it; simulate_link always runs complex64
 
-    def to_json(self, path=None) -> str:
-        text = json.dumps({"schema_version": SCHEMA_VERSION, **asdict(self)}, indent=2) + "\n"
-        if path is not None:
-            Path(path).write_text(text)
-        return text
+    def to_json(self) -> str:
+        return json.dumps({"schema_version": SCHEMA_VERSION, **asdict(self)}, indent=2) + "\n"
 
     @classmethod
-    def from_json(cls, source) -> "ExperimentConfig":
-        """Load from a path, or from JSON text (anything starting with '{')."""
-        text = str(source)
-        if isinstance(source, os.PathLike) or not text.lstrip().startswith("{"):
-            text = Path(source).read_text()
-        doc = json.loads(text)
+    def from_json(cls, path) -> "ExperimentConfig":
+        """Load the config file at path: a JSON object that `to_json` would
+        write, with the current schema_version."""
+        doc = json.loads(Path(path).read_text())
+        if not isinstance(doc, dict):
+            raise ValueError(f"config {path} must be a JSON object, got {json.dumps(doc)}")
         version = doc.pop("schema_version", None)
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported config schema_version {version!r}")
@@ -206,34 +205,36 @@ def run_dataset(cfg: ExperimentConfig, out_path, workers: int = 1,
     Resumable: rows already present in out_path are kept and their (power,
     NF) work units skipped, so interrupting and rerunning converges to the
     identical file an uninterrupted run would have produced. The config is
-    written beside the CSV (`<out_path>.config.json`), and an existing CSV
-    whose config file is missing or differs is refused before anything is
-    simulated: its rows came from other seeds or physics.
+    written beside the CSV (`<out_path>.config.json`). An existing CSV whose
+    config file is missing or differs, or which holds a row outside the grid
+    or a scenario twice, is refused before anything is simulated, and its
+    bytes are left as they are: its rows came from other seeds or physics,
+    or from an edit.
     """
     out_path = Path(out_path)
     config_path = out_path.with_name(out_path.name + ".config.json")
     config = cfg.to_json()
-    if out_path.exists() and (not config_path.exists() or config_path.read_text() != config):
-        raise ValueError(f"{out_path} was not written by this config ({config_path} is "
-                         "missing or differs); move it aside or write to another path")
-    ref = generate_reference(cfg.tx)
-    profiles = [build_profile(ref, REGIONS, delta_db) for delta_db in DELTA_GRID_DB]
-    grid_keys = {_scenario_key(p, nf, s) for p in cfg.powers_dbm
-                 for nf in cfg.nf_dbs for s in cfg.spans}
     rows_by_key = {}
-    dropped = 0
     if out_path.exists():
+        if not config_path.exists() or config_path.read_text() != config:
+            raise ValueError(f"{out_path} was not written by this config ({config_path} is "
+                             "missing or differs); move it aside or write to another path")
+        grid_keys = {_scenario_key(p, nf, s) for p in cfg.powers_dbm
+                     for nf in cfg.nf_dbs for s in cfg.spans}
         for row in estimator.load_rows(out_path):
             key = _scenario_key(row.launch_power_dbm, row.nf_db, row.n_spans)
-            if key in grid_keys:
-                rows_by_key[key] = row
-            else:
-                dropped += 1
+            if key not in grid_keys or key in rows_by_key:
+                raise ValueError(
+                    f"{out_path} holds the scenario power={row.launch_power_dbm:+g} dBm "
+                    f"nf={row.nf_db:g} dB spans={row.n_spans} "
+                    f"{'twice' if key in rows_by_key else 'outside the configured grid'}; "
+                    "this config never writes that, so the file was edited")
+            rows_by_key[key] = row
         if rows_by_key:
             log(f"resuming: {len(rows_by_key)} rows already in {out_path}")
-        if dropped:
-            log(f"dropping {dropped} rows outside the configured grid")
-    else:
+    ref = generate_reference(cfg.tx)
+    profiles = [build_profile(ref, REGIONS, delta_db) for delta_db in DELTA_GRID_DB]
+    if not out_path.exists():
         out_path.parent.mkdir(parents=True, exist_ok=True)
         config_path.write_text(config)
 
@@ -244,16 +245,7 @@ def run_dataset(cfg: ExperimentConfig, out_path, workers: int = 1,
             if not have_all:
                 units.append((ip, inf_))
 
-    def store(unit_rows=()):
-        for row in unit_rows:
-            rows_by_key[_scenario_key(row.launch_power_dbm, row.nf_db, row.n_spans)] = row
-        tmp = out_path.with_suffix(out_path.suffix + ".tmp")
-        estimator.save_rows(list(rows_by_key.values()), tmp)
-        os.replace(tmp, out_path)
-
     if not units:
-        if dropped:
-            store()
         log("dataset already complete; no simulations to run")
         return estimator.in_file_order(rows_by_key.values())
 
@@ -270,8 +262,12 @@ def run_dataset(cfg: ExperimentConfig, out_path, workers: int = 1,
                 yield fut.result()
 
     started = time.monotonic()
+    tmp = out_path.with_suffix(out_path.suffix + ".tmp")
     for n, (unit_rows, max_phi, seconds) in enumerate(results(), 1):
-        store(unit_rows)
+        for row in unit_rows:
+            rows_by_key[_scenario_key(row.launch_power_dbm, row.nf_db, row.n_spans)] = row
+        estimator.save_rows(list(rows_by_key.values()), tmp)
+        os.replace(tmp, out_path)
         log(f"[{n}/{len(units)}] power={unit_rows[0].launch_power_dbm:+g} dBm "
             f"nf={unit_rows[0].nf_db:g} dB done in {seconds:.1f}s; "
             f"{cfg.fiber.steps_per_span} steps/span, max nonlinear phase "

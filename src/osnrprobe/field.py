@@ -72,10 +72,6 @@ class SampledField:
         py = np.mean(np.abs(self.samples_y) ** 2)
         return float(px + py)
 
-    def freqs(self) -> np.ndarray:
-        """Baseband FFT bin frequencies in Hz (numpy fftfreq order)."""
-        return np.fft.fftfreq(len(self), d=1.0 / self.sample_rate)
-
     def as_matrix(self) -> np.ndarray:
         """New writable (2, N) array holding the x row and the y row."""
         return np.stack([self.samples_x, self.samples_y])

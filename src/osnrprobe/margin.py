@@ -7,11 +7,11 @@ Shannon capacities of the full and reduced bands.
 
 import csv
 import math
-from typing import Sequence
 
 from .waveform import TxConfig
 
 DEFAULT_PROBE_BANDWIDTHS_HZ = (0.5e9, 1e9, 2e9, 4e9, 5.68e9)
+SNR_GRID_DB = tuple(range(0, 31))  # 0..30 dB in 1 dB steps
 
 
 def perturbed_snr(snr_linear: float, probe_bandwidth: float) -> float:
@@ -26,22 +26,20 @@ def perturbed_snr(snr_linear: float, probe_bandwidth: float) -> float:
     return (1.0 + snr_linear) ** (baud_rate / (baud_rate - probe_bandwidth)) - 1.0
 
 
-def margin_curve(probe_bandwidths: Sequence[float] = DEFAULT_PROBE_BANDWIDTHS_HZ,
-                 snr_db_grid: Sequence[float] = tuple(range(0, 31))) -> list:
-    """Penalty table (snr_db, bwd_pert_hz, penalty_db) for plotting.
+def margin_curve() -> list:
+    """The penalty table (snr_db, bwd_pert_hz, penalty_db) for plotting:
+    every DEFAULT_PROBE_BANDWIDTHS_HZ against every SNR_GRID_DB value, 155
+    rows.
 
     penalty_db is the dB difference between the capacity-equivalent SNR on
     the reduced band and the unperturbed SNR.
     """
     rows = []
-    for bwd in probe_bandwidths:
-        for snr_db in snr_db_grid:
+    for bwd in DEFAULT_PROBE_BANDWIDTHS_HZ:
+        for snr_db in SNR_GRID_DB:
             snr = 10.0 ** (snr_db / 10.0)
             snr_prime = perturbed_snr(snr, bwd)
-            if snr > 0:
-                penalty = 10.0 * math.log10(snr_prime) - 10.0 * math.log10(snr)
-            else:
-                penalty = 0.0
+            penalty = 10.0 * math.log10(snr_prime) - 10.0 * math.log10(snr)
             rows.append((float(snr_db), float(bwd), penalty))
     return rows
 

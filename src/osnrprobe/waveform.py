@@ -53,6 +53,8 @@ class TxConfig:
             raise ValueError("n_symbols must be >= 2")
         if self.nfl_rel_db is not None and not math.isfinite(self.nfl_rel_db):
             raise ValueError(f"nfl_rel_db must be finite or None, got {self.nfl_rel_db}")
+        if self.seed < 0:
+            raise ValueError(f"tx.seed must be >= 0, got {self.seed}")
         if not _is_smooth(self.n_symbols * self.samples_per_symbol):
             raise ValueError(
                 f"grid length {self.n_symbols * self.samples_per_symbol} not "

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -215,6 +218,23 @@ class TestPersistence:
         path = tmp_path / "coeffs.json"
         coeffs.save(path)
         np.testing.assert_array_equal(FitCoefficients.load(path).values, TRUE_K)
+
+    @pytest.mark.parametrize("doc, match", [
+        pytest.param({f"k{i}": 1.0 for i in range(12)},
+                     re.escape("missing [], extra ['k10', 'k11', 'k7', 'k8', 'k9']"),
+                     id="twelve-keys"),
+        pytest.param({f"k{i}": 1.0 for i in range(6)}, re.escape("missing ['k6'], extra []"),
+                     id="missing-key"),
+        pytest.param(list(TRUE_K), "must hold a JSON object", id="array"),
+        pytest.param({**{f"k{i}": 1.0 for i in range(7)}, "k3": "0.5", "k5": True},
+                     re.escape("values of ['k3', 'k5'] must be numbers"), id="not-numbers"),
+    ])
+    def test_coefficients_load_refuses_other_layouts(self, tmp_path, doc, match):
+        # eval must not score a file written for another model as this one
+        path = tmp_path / "coeffs.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=match):
+            FitCoefficients.load(path)
 
 
 class TestFitOptimality:

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -41,19 +42,26 @@ def file_hash(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def load_doc(tmp_path, doc):
+    """ExperimentConfig.from_json of a file holding the JSON document doc."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return ExperimentConfig.from_json(path)
+
+
 class TestConfig:
     def test_json_roundtrip(self, tmp_path):
         cfg = tiny_config()
         path = tmp_path / "cfg.json"
-        cfg.to_json(path)
+        path.write_text(cfg.to_json())
         assert ExperimentConfig.from_json(path) == cfg
         # null turns the floor off, and an integer is a number
         doc = json.loads(cfg.to_json())
         doc["tx"]["nfl_rel_db"], doc["fiber"]["span_length_km"] = None, 100
         no_floor = dataclasses.replace(cfg, tx=dataclasses.replace(cfg.tx, nfl_rel_db=None))
-        assert ExperimentConfig.from_json(json.dumps(doc)) == no_floor
+        assert load_doc(tmp_path, doc) == no_floor
 
-    def test_rejects_unknown_schema(self):
+    def test_rejects_unknown_schema(self, tmp_path):
         doc = json.loads(tiny_config().to_json())
         # a version 1 document carried the probe grid and the OSNR cap,
         # version 2 the propagation precision, version 3 the probe geometry
@@ -65,7 +73,7 @@ class TestConfig:
                   tx=dict(doc["tx"], baud_rate=56.8e9, rolloff=0.07))
         for bad in (dict(doc, schema_version=99), v1, v2, v3):
             with pytest.raises(ValueError, match="schema_version"):
-                ExperimentConfig.from_json(json.dumps(bad))
+                load_doc(tmp_path, bad)
 
     @pytest.mark.parametrize("where, key, match", [
         pytest.param(None, "regions", "unknown config key.*'regions'", id="None-regions"),
@@ -75,14 +83,14 @@ class TestConfig:
         pytest.param(None, "tx", "tx must be a JSON object, got null", id="None-tx"),
         pytest.param(None, "fiber", "fiber must be a JSON object, got null", id="None-fiber"),
     ])
-    def test_rejects_unknown_key(self, where, key, match):
+    def test_rejects_unknown_key(self, tmp_path, where, key, match):
         # a schema-4 document with a key no field takes, e.g. one left over
         # from schema 3, or a null where an object belongs, is named, not a
         # TypeError from the constructor or from the key check
         doc = json.loads(tiny_config().to_json())
         (doc[where] if where else doc)[key] = None
         with pytest.raises(ValueError, match=match):
-            ExperimentConfig.from_json(json.dumps(doc))
+            load_doc(tmp_path, doc)
 
     @pytest.mark.parametrize("where, key, value, kind", [
         pytest.param(None, "powers_dbm", "26", "an array of numbers", id="powers-string"),
@@ -96,14 +104,33 @@ class TestConfig:
         pytest.param("fiber", "gamma", "1.3", "a number", id="gamma-string"),
         pytest.param("fiber", "step_km", False, "a number", id="step-bool"),
     ])
-    def test_rejects_wrong_json_type(self, where, key, value, kind):
+    def test_rejects_wrong_json_type(self, tmp_path, where, key, value, kind):
         # each would otherwise be coerced ("26" to (2.0, 6.0), true to 1.0),
         # fail later inside a unit, or raise a bare TypeError
         doc = json.loads(tiny_config().to_json())
         (doc[where] if where else doc)[key] = value
         with pytest.raises(ValueError, match=f"{where or 'config'} key '{key}' must be {kind}, "
                                              f"got {re.escape(json.dumps(value))}$"):
-            ExperimentConfig.from_json(json.dumps(doc))
+            load_doc(tmp_path, doc)
+
+    @pytest.mark.parametrize("doc", [[1], "x"], ids=["array", "string"])
+    def test_rejects_non_object_document(self, tmp_path, doc):
+        # not a TypeError from reading schema_version off a list or a string
+        with pytest.raises(ValueError, match=f"must be a JSON object, got "
+                                             f"{re.escape(json.dumps(doc))}$"):
+            load_doc(tmp_path, doc)
+
+    @pytest.mark.parametrize("where, value, name", [
+        pytest.param(None, -1, "seed", id="seed"),
+        pytest.param("tx", -3, "tx.seed", id="tx-seed"),
+    ])
+    def test_rejects_negative_seed(self, tmp_path, where, value, name):
+        # numpy's SeedSequence takes no negative entropy: without this check
+        # the run would fail inside its first unit, after synthesis
+        doc = json.loads(tiny_config().to_json())
+        (doc[where] if where else doc)["seed"] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be >= 0, got {value}$"):
+            load_doc(tmp_path, doc)
 
     def test_missing_file_is_not_json_text(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -217,16 +244,9 @@ class TestRunDataset:
 class TestCli:
     def test_margin_command(self, tmp_path):
         out = tmp_path / "margin.csv"
-        assert cli.main(["margin", "--out", str(out), "--snr-max-db", "10"]) == 0
+        assert cli.main(["margin", "--out", str(out)]) == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "snr_db,bwd_pert_hz,penalty_db"
-        for bad, match in ((["--snr-step-db", "0"], "snr-step-db"),
-                           (["--snr-step-db", "-1"], "snr-step-db"),
-                           (["--snr-min-db", "10", "--snr-max-db", "5"], "snr-step-db"),
-                           (["--bwd-ghz", "60"], "probe bandwidth")):
-            with pytest.raises(ValueError, match=match):
-                cli.main(["margin", "--out", str(tmp_path / "bad.csv"), *bad])
-        assert not (tmp_path / "bad.csv").exists()
 
     def test_fit_and_eval_commands(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -251,6 +271,29 @@ class TestCli:
         in_sample = json.loads(capsys.readouterr().out)
         assert in_sample["n_rows"] == 40 and in_sample["rmse_db"] < 1e-8
         assert report_path.read_text().startswith("truth_osnr_db,")
+
+    def test_readme_documents_every_flag(self):
+        text = README.read_text()
+        parser = cli.build_parser()
+        subparsers, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for name, sub in subparsers.choices.items():
+            for action in sub._actions:
+                for flag in action.option_strings:
+                    if flag not in ("-h", "--help"):
+                        assert re.search(re.escape(flag) + r"(?![\w-])", text), \
+                            f"README.md never mentions `osnrprobe {name} {flag}`"
+
+    @pytest.mark.parametrize("command", ["dataset", "psd"])
+    def test_negative_seed_fails_before_synthesis(self, tmp_path, monkeypatch, command):
+        # --seed goes through the config's constructors, so their check sees it
+        def no_reference(*args, **kwargs):
+            raise AssertionError("a reference was synthesized before the seed check")
+
+        monkeypatch.setattr(cli, "generate_reference", no_reference)
+        monkeypatch.setattr(experiment, "generate_reference", no_reference)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            cli.main([command, "--seed", "-1", "--out", str(tmp_path / "out.csv")])
+        assert list(tmp_path.iterdir()) == []
 
     def test_readme_commands_parse(self):
         # every `osnrprobe ...` line of README's shell blocks, with its
@@ -294,7 +337,7 @@ class TestCli:
 
     def test_dataset_and_psd_commands(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        tiny_config().to_json(cfg_path)
+        cfg_path.write_text(tiny_config().to_json())
         out = tmp_path / "rows.csv"
         assert cli.main(["dataset", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert len(estimator.load_rows(out)) == 2
@@ -319,20 +362,29 @@ class TestWorkers:
 
 
 class TestResumeHygiene:
-    def test_foreign_rows_dropped_on_resume(self, tmp_path):
+    def test_foreign_rows_refused_on_resume(self, tmp_path, monkeypatch):
+        # with the config file matching, a row off the grid or a repeated
+        # scenario can only be a hand edit: the run names it and leaves the
+        # file alone, before any synthesis
         cfg = tiny_config()
         out = tmp_path / "rows.csv"
         run_dataset(cfg, out, log=lambda *_: None)
         rows = estimator.load_rows(out)
-        # smuggle in a row from a different grid
         alien = estimator.FeatureRow(rows[0].p_ref_db, rows[0].p_n_db, 25.0,
                                      launch_power_dbm=9.0, n_spans=3, nf_db=5.0)
-        estimator.save_rows(rows + [alien], out)
-        messages = []
-        run_dataset(cfg, out, log=messages.append)
-        assert any("dropping 1 rows" in m for m in messages)
-        back = estimator.load_rows(out)
-        assert all(r.launch_power_dbm == 2.0 for r in back)
+        again = dataclasses.replace(rows[1], truth_osnr_db=25.0)
+
+        def no_reference(*args, **kwargs):
+            raise AssertionError("a reference was synthesized before the rows were checked")
+
+        monkeypatch.setattr(experiment, "generate_reference", no_reference)
+        for smuggled, match in ((alien, "power=\\+9 dBm nf=5 dB spans=3 outside"),
+                                (again, "power=\\+2 dBm nf=4.5 dB spans=2 twice")):
+            estimator.save_rows(rows + [smuggled], out)
+            edited = file_hash(out)
+            with pytest.raises(ValueError, match=f"{re.escape(str(out))} holds .*{match}"):
+                run_dataset(cfg, out, log=lambda *_: None)
+            assert file_hash(out) == edited
 
     def test_csv_of_another_config_is_refused(self, tmp_path, monkeypatch):
         # a seed-5 file is no partial result of a seed-6 run, and neither is

@@ -45,18 +45,20 @@ class TestPerturbedSnr:
 
 class TestMarginCurve:
     def test_zero_bandwidth_zero_penalty(self):
-        rows = margin_curve([0.0], [0.0, 10.0, 20.0])
-        assert all(penalty == pytest.approx(0.0, abs=1e-12) for *_, penalty in rows)
+        for snr_db in (0.0, 10.0, 20.0):
+            snr = 10.0 ** (snr_db / 10.0)
+            penalty = 10 * math.log10(perturbed_snr(snr, 0.0)) - snr_db
+            assert penalty == pytest.approx(0.0, abs=1e-12)
 
     def test_penalty_grows_with_bandwidth(self):
-        rows = margin_curve([1e9, 2e9, 4e9], [15.0])
-        penalties = [p for *_, p in rows]
+        penalties = [p for snr_db, _, p in margin_curve() if snr_db == 15.0]
+        assert len(penalties) == len(DEFAULT_PROBE_BANDWIDTHS_HZ)
         assert penalties == sorted(penalties)
         assert penalties[0] < penalties[-1]
 
     def test_penalty_grows_with_snr(self):
-        rows = margin_curve([5.68e9], list(range(1, 31)))
-        penalties = [p for *_, p in rows]
+        penalties = [p for snr_db, bwd, p in margin_curve() if bwd == 5.68e9 and snr_db >= 1]
+        assert len(penalties) == 30
         assert all(b > a for a, b in zip(penalties, penalties[1:]))
 
     def test_csv_export(self, tmp_path):

@@ -45,13 +45,13 @@ def reference_generate(cfg):
 
 def reference_fractions(fld, regions):
     psd = np.abs(np.fft.fft(fld.samples_x)) ** 2 + np.abs(np.fft.fft(fld.samples_y)) ** 2
-    m_a, m_b, m_n, m_boi = regions.masks(fld.freqs())
+    m_a, m_b, m_n, m_boi = regions.masks(np.fft.fftfreq(len(fld), 1 / fld.sample_rate))
     total = psd[m_boi].sum()
     return tuple(float(psd[m].sum() / total) for m in (m_a, m_b, m_n))
 
 
 def reference_perturb(fld, profile):
-    m_a, m_b, m_n, _ = profile.regions.masks(fld.freqs())
+    m_a, m_b, m_n, _ = profile.regions.masks(np.fft.fftfreq(len(fld), 1 / fld.sample_rate))
     gain = np.ones(len(fld))
     gain[m_a] = math.sqrt(profile.delta_a)
     gain[m_b] = math.sqrt(profile.delta_b)
@@ -64,7 +64,7 @@ def reference_perturb(fld, profile):
 def reference_noise_floor(fld, cfg, seed):
     lo, hi = REGIONS.f_boi
     n = len(fld)
-    boi = REGIONS.masks(fld.freqs())[3]
+    boi = REGIONS.masks(np.fft.fftfreq(len(fld), 1 / fld.sample_rate))[3]
     psd_x = np.abs(np.fft.fft(fld.samples_x)) ** 2
     psd_y = np.abs(np.fft.fft(fld.samples_y)) ** 2
     in_band_power = (psd_x[boi].sum() + psd_y[boi].sum()) / n**2

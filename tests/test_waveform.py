@@ -132,7 +132,7 @@ class TestApplyPerturbation:
                            rng.standard_normal(n) + 1j * rng.standard_normal(n),
                            tx_cfg.sample_rate)
         out = apply_perturbation(fld, build_profile(fld, regions, 10.0))
-        freqs = fld.freqs()
+        freqs = np.fft.fftfreq(len(fld), 1 / fld.sample_rate)
         outside = (freqs < regions.f_boi[0]) | (freqs >= regions.f_boi[1])
         before = np.fft.fft(fld.samples_x)[outside]
         after = np.fft.fft(out.samples_x)[outside]
@@ -187,6 +187,7 @@ class TestRegions:
         assert all(a < b for a, b in ivs)
         assert ivs[0][0] == lo and ivs[-1][1] == hi
         assert all(prev_hi == next_lo for (_, prev_hi), (next_lo, _) in zip(ivs, ivs[1:]))
-        m_a, m_b, m_n, m_boi = REGIONS.masks(reference.freqs())
+        freqs = np.fft.fftfreq(len(reference), 1 / reference.sample_rate)
+        m_a, m_b, m_n, m_boi = REGIONS.masks(freqs)
         np.testing.assert_array_equal(m_a.astype(int) + m_b + m_n, m_boi)
         assert default_regions(TxConfig()) is REGIONS
