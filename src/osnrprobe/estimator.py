@@ -179,20 +179,28 @@ def save_rows(rows: Sequence[FeatureRow], path) -> None:
 
 
 def load_rows(path) -> list:
-    rows = []
+    """The rows of a dataset CSV. A scenario that appears twice is refused,
+    by name: fitting it would weight it twice, and save_rows never writes it."""
+    rows, seen = [], set()
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
             raise ValueError(f"unexpected dataset columns in {path}")
         for rec in reader:
-            rows.append(FeatureRow(
+            row = FeatureRow(
                 p_ref_db=float(rec["p_ref_db"]),
                 p_n_db=tuple(float(rec[c]) for c in CSV_COLUMNS[5:]),
                 truth_osnr_db=float(rec["truth_osnr_db"]),
                 launch_power_dbm=float(rec["power_dbm"]),
                 n_spans=int(rec["n_spans"]),
                 nf_db=float(rec["nf_db"]),
-            ))
+            )
+            key = (row.launch_power_dbm, row.nf_db, row.n_spans)
+            if key in seen:
+                raise ValueError(f"{path} holds the scenario power={key[0]:+g} dBm "
+                                 f"nf={key[1]:g} dB spans={key[2]} twice")
+            seen.add(key)
+            rows.append(row)
     return rows
 
 

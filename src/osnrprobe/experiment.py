@@ -32,7 +32,7 @@ from .spectrum import MIN_FIELD_SAMPLES, measure
 from .waveform import (REGIONS, TxConfig, add_tx_noise_floor, apply_perturbation,
                        build_profile, generate_reference)
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 @dataclass
@@ -138,8 +138,8 @@ def _json_type_name(kind) -> str:
 
 def desk_preset() -> ExperimentConfig:
     """Reduced grid that a workstation can turn around: 2^14 symbols at the
-    default 2 samples/symbol (N = 2^15), the default 0.5 km step (200 per
-    span), seven span counts. The 140 scenarios took 8.6 min on a shared
+    default 2 samples/symbol (N = 2^15), the default 0.7 km step (77 per
+    span), seven span counts. The 140 scenarios took 3.1 min on a shared
     2-core machine with two worker processes and one FFT thread each."""
     return ExperimentConfig(
         tx=TxConfig(n_symbols=2**14, seed=1234),
@@ -149,9 +149,10 @@ def desk_preset() -> ExperimentConfig:
 
 def paper_preset() -> ExperimentConfig:
     """Full-scale grid: 2^17 symbols at the default 2 samples/symbol
-    (N = 2^18), the default 0.5 km step (200 per span), spans 1..30. One
-    span of a work unit's (10, N) stack took 18 s with one FFT thread on a
-    shared 2-core machine, so the 20 units are about 3 h serial."""
+    (N = 2^18), the default 0.7 km step (77 per span), spans 1..30. One
+    span of a work unit's (10, N) stack took 6.4-7.2 s with one FFT thread
+    on a shared 2-core machine (18.4 s at the former uniform 0.5 km steps),
+    so the 20 units are about 1.1 h serial."""
     return ExperimentConfig(
         tx=TxConfig(n_symbols=2**17, seed=1234),
         spans=tuple(range(1, 31)),
@@ -207,9 +208,9 @@ def run_dataset(cfg: ExperimentConfig, out_path, workers: int = 1,
     identical file an uninterrupted run would have produced. The config is
     written beside the CSV (`<out_path>.config.json`). An existing CSV whose
     config file is missing or differs, or which holds a row outside the grid
-    or a scenario twice, is refused before anything is simulated, and its
-    bytes are left as they are: its rows came from other seeds or physics,
-    or from an edit.
+    or (as `estimator.load_rows` refuses) a scenario twice, is refused before
+    anything is simulated, and its bytes are left as they are: its rows came
+    from other seeds or physics, or from an edit.
     """
     out_path = Path(out_path)
     config_path = out_path.with_name(out_path.name + ".config.json")
@@ -223,12 +224,11 @@ def run_dataset(cfg: ExperimentConfig, out_path, workers: int = 1,
                      for nf in cfg.nf_dbs for s in cfg.spans}
         for row in estimator.load_rows(out_path):
             key = _scenario_key(row.launch_power_dbm, row.nf_db, row.n_spans)
-            if key not in grid_keys or key in rows_by_key:
+            if key not in grid_keys:
                 raise ValueError(
                     f"{out_path} holds the scenario power={row.launch_power_dbm:+g} dBm "
-                    f"nf={row.nf_db:g} dB spans={row.n_spans} "
-                    f"{'twice' if key in rows_by_key else 'outside the configured grid'}; "
-                    "this config never writes that, so the file was edited")
+                    f"nf={row.nf_db:g} dB spans={row.n_spans} outside the configured "
+                    "grid; this config never writes that, so the file was edited")
             rows_by_key[key] = row
         if rows_by_key:
             log(f"resuming: {len(rows_by_key)} rows already in {out_path}")

@@ -2,7 +2,10 @@
 
 The dual-polarization field is advanced with a symmetric split-step scheme:
 half-step linear operator (dispersion + loss) in the frequency domain, full
-nonlinear phase rotation at the step midpoint, half-step linear. The link
+nonlinear phase rotation at the step midpoint, half-step linear. The steps
+are not uniform: `FiberParams.step_lengths_km` gives each the same effective
+nonlinear length, `step_km`, up to twice `step_km` in the tail of the span,
+so a 100 km span takes 77 steps at the default 0.7 km. The link
 has one span model, `LinkConfig`: every span is the fiber followed by an
 EDFA whose gain equals the span loss and which injects white ASE, so the
 ASE density never depends on the loaded spectrum.
@@ -14,10 +17,14 @@ every FFT, linear multiply and inverse FFT runs once over the whole stack,
 while the nonlinear phase, which couples only the two polarizations of one
 field, is applied one row pair at a time through a preallocated workspace.
 Each field keeps its own ASE seed, so a field's samples are bit-identical
-whether it travels alone or in a stack. The memory cost is the stack itself:
-five probes at 2 samples/symbol in complex64 take 2.6 MB at desk size
-(N = 2^15) and about 21 MB at paper size (N = 2^18). The benchmark has no
-paper-size workload, so that cost is not measured.
+whether it travels alone or in a stack. The memory cost is the stack
+and the linear factors. Five probes at 2 samples/symbol in complex64 take
+2.6 MB at desk size (N = 2^15) and about 21 MB at paper size (N = 2^18).
+The factors, one complex64 array of N per distinct length between two
+nonlinear rotations, are built once per `propagate` call and held for it:
+on a 100 km span at 0.7 km steps there are 18, 4.7 MB at desk size and
+38 MB at paper size (18 x 2.1 MB), measured with tracemalloc: the
+benchmark has no paper-size workload.
 
 The carrier is `field.CARRIER_HZ` throughout: it sets the dispersion
 (`FiberParams.beta2`), the ASE photon energy and the 0.1 nm OSNR reference
@@ -48,20 +55,28 @@ REFERENCE_BANDWIDTH_HZ = 0.1 * 1e-9 * CARRIER_HZ**2 / C_M_PER_S
 
 @dataclass
 class FiberParams:
-    """Non-dispersion-shifted fiber with uniform split-step integration.
+    """Non-dispersion-shifted fiber and its split-step schedule.
 
-    The default 0.5 km step (200 steps per 100 km span) is converged for the
-    notch APSD the method reads: at +6 dBm over two spans the desk notch
-    lies within 0.0003 dB of the same symbols at 4 samples/symbol in
-    complex128 at 0.1 km steps, and the test suite fails if the presets'
-    samples/symbol and step, in complex64, move it by more than 0.05 dB.
+    `step_km` is each step's effective nonlinear length measured from the
+    span input, e^(-a z)(1 - e^(-a h))/a for a step of length h that starts
+    at z, and no step is longer than 2 x step_km: short steps where the
+    power, and so the nonlinear phase, is high, long steps in the tail of
+    the span (Sinkin et al., JLT 21(1):61-68, 2003); non-uniform steps also
+    suppress the spurious FWM tones that uniform steps create (Bosco et
+    al., IEEE PTL 12(5):489-491, 2000). The default 0.7 km makes 77 steps
+    of a 100 km span; a lossless fiber gets uniform steps. The notch APSD
+    the method reads is converged at this step: at +6 dBm the desk notch
+    lies within 0.0005 dB after two spans, and 0.0033 dB after 30, of the
+    same symbols at 4 samples/symbol in complex128 at step_km 0.05, and the
+    test suite fails if the presets' samples/symbol and step, in complex64,
+    move it by more than 0.05 dB over two spans.
     """
 
     dispersion_D: float = 16.7      # ps/nm/km
     gamma: float = 1.3              # 1/(W km)
     alpha_db_per_km: float = 0.2
     span_length_km: float = 100.0
-    step_km: float = 0.5
+    step_km: float = 0.7
 
     def __post_init__(self):
         if min(self.dispersion_D, self.gamma, self.alpha_db_per_km) < 0:
@@ -79,9 +94,39 @@ class FiberParams:
         return -d_si * lam**2 / (2.0 * math.pi * C_M_PER_S)
 
     @property
+    def step_lengths_km(self) -> np.ndarray:
+        """The split steps of one span in km, from its input.
+
+        Up to z1, where a 2 x step_km step first has an effective length of
+        at most step_km, the steps are equal in effective length, their
+        count rounded to a whole number as uniform steps always were (and
+        raised if the last of them would pass 2 x step_km). The rest of
+        the span is split into equal steps of at most 2 x step_km. A
+        lossless fiber is all first part: round(L / step_km) uniform steps.
+        """
+        a, s, length = self.alpha_np_per_km, self.step_km, self.span_length_km
+        if a == 0:
+            n = max(1, round(length / s))
+            return np.full(n, length / n)
+        z1 = min(length, max(0.0, math.log(-math.expm1(-2.0 * a * s) / (a * s)) / a))
+        steps = []
+        if z1 > 0:
+            eff = -math.expm1(-a * z1) / a
+            # largest equal effective length whose step ending at z1 is <= 2s
+            eff_max = math.expm1(2.0 * a * s) * math.exp(-a * z1) / a
+            n = max(round(eff / s), math.ceil(eff / eff_max))
+            edges = -np.log1p(-a * eff * np.arange(n + 1) / n) / a
+            edges[-1] = z1
+            steps.append(np.diff(edges))
+        if z1 < length:
+            n = math.ceil((length - z1) / (2.0 * s))
+            steps.append(np.full(n, (length - z1) / n))
+        return np.concatenate(steps)
+
+    @property
     def steps_per_span(self) -> int:
-        """Uniform split steps per span: step_km rounded to divide the span."""
-        return max(1, round(self.span_length_km / self.step_km))
+        """Split steps per span: the length of `step_lengths_km`."""
+        return len(self.step_lengths_km)
 
     @property
     def alpha_np_per_km(self) -> float:
@@ -139,15 +184,16 @@ def span_seed(ase_seed: int, span_idx: int) -> np.random.SeedSequence:
 
 class _SplitStep:
     """Symmetric split-step Manakov integration of one fiber span over a
-    (2P, N) stack: the linear operator runs on the whole stack at once, the
-    nonlinear phase one probe (row pair) at a time through a fixed
-    workspace, so a span allocates nothing."""
+    (2P, N) stack on `FiberParams.step_lengths_km`: the linear operator
+    runs on the whole stack at once, the nonlinear phase one probe (row
+    pair) at a time through a fixed workspace, so a span allocates nothing.
+    The linear factors, one per distinct length between two rotations (half
+    of each neighbouring step), are built once and held for the call."""
 
     def __init__(self, stack: np.ndarray, sample_rate: float, fiber: FiberParams,
                  workers: int):
         n = stack.shape[1]
-        self.n_steps = fiber.steps_per_span
-        h_km = fiber.span_length_km / self.n_steps
+        steps = fiber.step_lengths_km
         alpha = fiber.alpha_np_per_km
         beta2_km = fiber.beta2 * 1e3  # s^2/km
         omega = 2.0 * math.pi * sfft.fftfreq(n, d=1.0 / sample_rate)
@@ -155,14 +201,15 @@ class _SplitStep:
         # Carrier convention with exp(+i w0 t): SPM phase is negative, so the
         # matching dispersion factor is exp(-i beta2/2 w^2 h).
         exponent = -0.5j * beta2_km * omega**2 - alpha / 2.0  # per km, amplitude
-        self.half = np.exp(exponent * (h_km / 2.0)).astype(stack.dtype)
-        self.full = self.half * self.half
+        lengths = (np.concatenate((steps[:1], steps[:-1] + steps[1:], steps[-1:])) / 2.0).tolist()
+        factors = {h: np.exp(exponent * h).astype(stack.dtype) for h in set(lengths)}
+        self.factors = [factors[h] for h in lengths]
         if alpha > 0:
-            h_eff = 2.0 * math.sinh(alpha * h_km / 2.0) / alpha  # exact loss quadrature at midpoint
+            h_eff = 2.0 * np.sinh(alpha * steps / 2.0) / alpha  # exact loss quadrature at midpoint
         else:
-            h_eff = h_km
+            h_eff = steps
         real = stack.real.dtype
-        self.coeff = real.type(MANAKOV_FACTOR * fiber.gamma * h_eff)
+        self.coeffs = (MANAKOV_FACTOR * fiber.gamma * h_eff).astype(real)
         self.workers = workers
         self.power = np.empty((2, n), real)   # |E|^2 per polarization, then phi, cos
         self.scratch = np.empty(n, real)      # imag^2, then sin
@@ -173,18 +220,18 @@ class _SplitStep:
         spec *= factor
         return sfft.ifft(spec, axis=1, overwrite_x=True, workers=self.workers)
 
-    def _rotate(self, pair: np.ndarray) -> float:
-        """Apply the Manakov phase to one probe's (2, N) rows; return its
-        largest phase. Same IEEE operations as exp(-i phi) built from
-        cos(phi) - 1j*sin(phi), so a probe's bytes do not depend on the
-        stack it travels in."""
+    def _rotate(self, pair: np.ndarray, coeff) -> float:
+        """Apply the Manakov phase of one step (coeff x |E|^2) to one
+        probe's (2, N) rows; return its largest phase. Same IEEE operations
+        as exp(-i phi) built from cos(phi) - 1j*sin(phi), so a probe's bytes
+        do not depend on the stack it travels in."""
         power, scratch, rot = self.power, self.scratch, self.rot
         np.multiply(pair.real, pair.real, out=power)
         for pol in (0, 1):
             np.multiply(pair[pol].imag, pair[pol].imag, out=scratch)
             np.add(power[pol], scratch, out=power[pol])
         phi = np.add(power[0], power[1], out=power[0])
-        phi *= self.coeff
+        phi *= coeff
         max_phi = float(phi.max(initial=0.0))
         rot.real = np.cos(phi, out=power[1])
         np.subtract(0, np.sin(phi, out=scratch), out=rot.imag)
@@ -195,12 +242,12 @@ class _SplitStep:
         """Advance the stack through one span in place; return the largest
         nonlinear phase of any step and probe."""
         max_phi = 0.0
-        buf = self._linear(stack, self.half)
-        for step in range(self.n_steps):
-            if self.coeff != 0:
+        buf = self._linear(stack, self.factors[0])
+        for coeff, factor in zip(self.coeffs, self.factors[1:]):
+            if coeff != 0:
                 for i in range(0, buf.shape[0], 2):
-                    max_phi = max(max_phi, self._rotate(buf[i:i + 2]))
-            buf = self._linear(buf, self.full if step < self.n_steps - 1 else self.half)
+                    max_phi = max(max_phi, self._rotate(buf[i:i + 2], coeff))
+            buf = self._linear(buf, factor)
         if not np.may_share_memory(buf, stack):  # scipy transformed out of place
             stack[...] = buf
         return max_phi
@@ -246,7 +293,8 @@ def _spans(stack, sample_rate, link, ase_seeds, taps, workers):
         if span_phi > NL_PHASE_STEP_LIMIT:
             warnings.warn(
                 f"max nonlinear phase {span_phi:.3g} rad/step exceeds "
-                f"{NL_PHASE_STEP_LIMIT}; reduce step_km for trustworthy accuracy",
+                f"{NL_PHASE_STEP_LIMIT}; reduce step_km, the effective nonlinear length "
+                "of a step, for trustworthy accuracy",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -255,9 +303,18 @@ def _spans(stack, sample_rate, link, ase_seeds, taps, workers):
             for i, seed in enumerate(ase_seeds):
                 noise = np.random.default_rng(span_seed(seed, k)).standard_normal(
                     (2, 2, stack.shape[1]))
-                stack[2 * i:2 * i + 2] += sigma * (noise[0] + 1j * noise[1])
+                _add_ase(stack[2 * i:2 * i + 2], noise, sigma)
         if k + 1 in taps:
             yield k + 1, max_phi
+
+
+def _add_ase(pair: np.ndarray, noise: np.ndarray, sigma: float) -> None:
+    """pair += sigma * (noise[0] + 1j * noise[1]), byte for byte, without
+    its complex128 temporaries: noise is scaled in place and its halves are
+    added to the real and imaginary parts of the (2, N) rows."""
+    noise *= sigma
+    pair.real += noise[0]
+    pair.imag += noise[1]
 
 
 def simulate_link(fields, link: LinkConfig, ase_seeds, taps, workers: int = 2):

@@ -2,7 +2,7 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see one PASS line per
 criterion. The desk-scale end-to-end criterion needs the full dataset in
-data/desk_dataset.csv (about 9 min to regenerate with `osnrprobe dataset
+data/desk_dataset.csv (about 3 min to regenerate with `osnrprobe dataset
 --preset desk --workers 2 --fft-workers 1`) and fails when the file misses
 any desk scenario, unless OSNRPROBE_RUN_DESK=1 completes it in place first.
 """
@@ -254,7 +254,7 @@ class TestDeskScaleReproduction:
                 f"desk dataset lacks {len(missing)} of {len(expected)} scenarios, "
                 f"the (power, NF) units {units}; generate with `osnrprobe dataset "
                 "--preset desk --workers 2 --fft-workers 1 --out data/desk_dataset.csv` "
-                "(about 9 min) or set OSNRPROBE_RUN_DESK=1")
+                "(about 3 min) or set OSNRPROBE_RUN_DESK=1")
 
         dataset = Dataset(estimator.load_rows(DESK_DATASET))
         pooled, _ = estimator.cross_validate(dataset)

@@ -65,13 +65,15 @@ class TestConfig:
         doc = json.loads(tiny_config().to_json())
         # a version 1 document carried the probe grid and the OSNR cap,
         # version 2 the propagation precision, version 3 the probe geometry
-        # and the signal's baud rate and roll-off
+        # and the signal's baud rate and roll-off; version 4 had the keys of
+        # today, but its step_km was a uniform step, not an effective length
         v1 = dict(doc, schema_version=1, delta_a_grid_db=list(DELTA_GRID_DB),
                   osnr_cap_db=30.0)
         v2 = dict(doc, schema_version=2, precision="single")
         v3 = dict(doc, schema_version=3, regions=None,
                   tx=dict(doc["tx"], baud_rate=56.8e9, rolloff=0.07))
-        for bad in (dict(doc, schema_version=99), v1, v2, v3):
+        v4 = dict(doc, schema_version=4)
+        for bad in (dict(doc, schema_version=99), v1, v2, v3, v4):
             with pytest.raises(ValueError, match="schema_version"):
                 load_doc(tmp_path, bad)
 
@@ -84,7 +86,7 @@ class TestConfig:
         pytest.param(None, "fiber", "fiber must be a JSON object, got null", id="None-fiber"),
     ])
     def test_rejects_unknown_key(self, tmp_path, where, key, match):
-        # a schema-4 document with a key no field takes, e.g. one left over
+        # a schema-5 document with a key no field takes, e.g. one left over
         # from schema 3, or a null where an object belongs, is named, not a
         # TypeError from the constructor or from the key check
         doc = json.loads(tiny_config().to_json())
@@ -165,7 +167,7 @@ class TestConfig:
         cfg = desk_preset()
         assert cfg.tx.n_symbols == 2**14
         assert cfg.tx.samples_per_symbol == 2
-        assert cfg.fiber.step_km == 0.5
+        assert cfg.fiber.step_km == 0.7
         assert cfg.spans == (1, 5, 10, 15, 20, 25, 30)
         assert cfg.powers_dbm == (-2.0, 0.0, 2.0, 4.0, 6.0)
         assert cfg.nf_dbs == (4.5, 5.5, 6.5, 7.5)
@@ -173,7 +175,7 @@ class TestConfig:
     def test_paper_preset_values(self):
         cfg = paper_preset()
         assert cfg.tx.n_symbols == 2**17
-        assert cfg.fiber.step_km == 0.5
+        assert cfg.fiber.step_km == 0.7
         assert cfg.spans == tuple(range(1, 31))
         assert cfg.tx.baud_rate == 56.8e9
         assert cfg.tx.rolloff == 0.07
@@ -189,7 +191,7 @@ class TestRunDataset:
         messages = []
         rows = run_dataset(cfg, out, log=messages.append)
         assert len(rows) == 2
-        assert any("200 steps/span, max nonlinear phase" in m for m in messages)
+        assert any("107 steps/span, max nonlinear phase" in m for m in messages)
         first_hash = file_hash(out)
 
         messages = []
@@ -271,6 +273,18 @@ class TestCli:
         in_sample = json.loads(capsys.readouterr().out)
         assert in_sample["n_rows"] == 40 and in_sample["rmse_db"] < 1e-8
         assert report_path.read_text().startswith("truth_osnr_db,")
+
+    def test_fit_refuses_a_repeated_scenario(self, tmp_path):
+        # repeated rows would weigh twice in the fit: the committed file with
+        # its last 20 rows appended is refused, naming the first repeat
+        lines = DESK_DATASET.read_text().splitlines(keepends=True)
+        doubled = tmp_path / "doubled.csv"
+        doubled.write_text("".join(lines + lines[-20:]))
+        coeffs = tmp_path / "coeffs.json"
+        with pytest.raises(ValueError, match=f"{re.escape(str(doubled))} holds the scenario "
+                                             r"power=\+6 dBm nf=5.5 dB spans=5 twice"):
+            cli.main(["fit", "--dataset", str(doubled), "--coeffs", str(coeffs)])
+        assert not coeffs.exists()
 
     def test_readme_documents_every_flag(self):
         text = README.read_text()
@@ -363,9 +377,9 @@ class TestWorkers:
 
 class TestResumeHygiene:
     def test_foreign_rows_refused_on_resume(self, tmp_path, monkeypatch):
-        # with the config file matching, a row off the grid or a repeated
-        # scenario can only be a hand edit: the run names it and leaves the
-        # file alone, before any synthesis
+        # with the config file matching, a row off the grid or (refused by
+        # load_rows) a repeated scenario can only be a hand edit: the run
+        # names it and leaves the file alone, before any synthesis
         cfg = tiny_config()
         out = tmp_path / "rows.csv"
         run_dataset(cfg, out, log=lambda *_: None)

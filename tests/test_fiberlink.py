@@ -12,6 +12,7 @@ from osnrprobe.fiberlink import (
     REFERENCE_BANDWIDTH_HZ,
     FiberParams,
     LinkConfig,
+    _add_ase,
     analytic_osnr,
     propagate,
     simulate_link,
@@ -86,6 +87,15 @@ class TestPropagateSpan:
         expected = -(8.0 / 9.0) * 1.3 * power * (1.0 - math.exp(-a * length)) / a
         out = one_span(cw, fiber)
         assert float(np.angle(out.samples_x[0])) == pytest.approx(expected, rel=0.005)
+        # a CW step's phase is (8/9) gamma P times the step's effective
+        # length from the span input, which the schedule keeps near step_km
+        (_, max_phi), = propagate(cw.as_matrix(), cw.sample_rate, LinkConfig(fiber, 1, 0.0, None),
+                                  (0,), (1,))
+        steps = fiber.step_lengths_km
+        start = np.concatenate(([0.0], np.cumsum(steps)[:-1]))
+        eff = np.exp(-a * start) * -np.expm1(-a * steps) / a
+        assert max_phi == pytest.approx((8.0 / 9.0) * 1.3 * power * eff.max(), rel=1e-9)
+        assert max_phi == pytest.approx((8.0 / 9.0) * 1.3 * power * fiber.step_km, rel=0.01)
 
     def test_loss_matches_span_budget(self):
         # the EDFA's gain is the 20 dB span loss, so the span is transparent
@@ -123,6 +133,20 @@ class TestAmplify:
         expected = (10**0.45 / 2) * H_PLANCK * 193.4e12 * 99.0
         assert expected == pytest.approx(1.7878e-17, rel=1e-4)
         assert link.ase_psd_per_pol() == pytest.approx(expected, rel=1e-12)
+
+    def test_ase_in_place_matches_complex_expression(self):
+        # adding the scaled halves to .real and .imag of a row pair gives the
+        # bytes of sigma * (noise[0] + 1j * noise[1]) added in complex128
+        rng = np.random.default_rng(5)
+        n = 4096
+        stack = (rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))).astype(
+            np.complex64)
+        noise = rng.standard_normal((2, 2, n))
+        sigma = 3.7e-3
+        want = stack.copy()
+        want[2:4] += sigma * (noise[0] + 1j * noise[1])
+        _add_ase(stack[2:4], noise.copy(), sigma)
+        assert stack.tobytes() == want.tobytes()
 
     def test_seeds_independent_same_power(self):
         zero = SampledField(np.zeros(2**16, complex), np.zeros(2**16, complex), 170.4e9)
@@ -239,6 +263,42 @@ class TestAnalyticOsnr:
         assert REFERENCE_BANDWIDTH_HZ == 12476484648.589794
 
 
+class TestStepSchedule:
+    def test_default_step_counts(self):
+        # 77 steps of a 100 km span, 6 of the benchmark's 5 km span
+        assert FiberParams().steps_per_span == 77
+        assert FiberParams(span_length_km=5.0).steps_per_span == 6
+
+    @settings(max_examples=300, deadline=None)
+    @given(alpha_db=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=2.0)),
+           length=st.floats(min_value=0.5, max_value=200.0),
+           per_step=st.floats(min_value=1.0, max_value=2000.0))
+    def test_schedule_properties(self, alpha_db, length, per_step):
+        fiber = FiberParams(alpha_db_per_km=alpha_db, span_length_km=length,
+                            step_km=length / per_step)
+        s, a = fiber.step_km, fiber.alpha_np_per_km
+        steps = fiber.step_lengths_km
+        assert fiber.steps_per_span == len(steps)
+        assert steps.min() > 0
+        assert steps.sum() == pytest.approx(length, rel=1e-12)
+        assert steps.max() <= 2.0 * s * (1 + 1e-12)
+        if a == 0:
+            n = max(1, round(length / s))
+            assert np.array_equal(steps, np.full(n, length / n))
+            eff = steps
+        else:
+            start = np.concatenate(([0.0], np.cumsum(steps)[:-1]))
+            eff = np.exp(-a * start) * -np.expm1(-a * steps) / a
+        # a step's effective length passes step_km only where the count of
+        # equal steps was rounded to a whole number, as uniform steps always
+        # were: then the first m steps, by at most half a step over m
+        over = eff > s * (1 + 1e-9)
+        m = int(over.sum())
+        if m:
+            assert over[:m].all()
+            assert eff.max() <= s * (1 + 0.5 / m) * (1 + 1e-9)
+
+
 class TestInvariants:
     @settings(max_examples=15, deadline=None)
     @given(gamma=st.floats(min_value=0.0, max_value=3.0),
@@ -267,13 +327,14 @@ class TestInvariants:
         # the method reads the notch, ~20 dB under the signal: at the desk
         # preset's own samples/symbol and step, through simulate_link, its
         # nonlinear fill must match the same symbols at 4 samples/symbol in
-        # complex128 at 0.1 km steps (desk waveform, no ASE and no tx floor,
-        # +6 dBm, the extreme probes, two 100 km spans)
+        # complex128 at step_km 0.05, no step over 0.1 km (desk waveform, no
+        # ASE and no tx floor, +6 dBm, the extreme probes, two 100 km spans)
         cfg = desk_preset()
         tx = dataclasses.replace(cfg.tx, nfl_rel_db=None)
         tx_fine = dataclasses.replace(tx, samples_per_symbol=4)
-        fine = FiberParams(step_km=0.1)
+        fine = FiberParams(step_km=0.05)
         assert cfg.fiber.step_km > fine.step_km
+        assert fine.step_lengths_km.max() <= 0.1
         assert tx.samples_per_symbol < tx_fine.samples_per_symbol
         deltas = (DELTA_GRID_DB[0], DELTA_GRID_DB[-1])
         got = noiseless_apsds(generate_reference(tx), REGIONS, deltas, 6.0, cfg.fiber, 2)
@@ -285,21 +346,23 @@ class TestInvariants:
 
     @pytest.mark.slow
     def test_step_convergence_full(self, reference, regions):
-        # the as-specified variant: 10 spans at 2 dBm, 0.05 vs 0.025 km, in
-        # complex128, where the step error is not buried under the ~6e-7 dB
-        # that every complex64 split step loses
+        # the as-specified variant: 10 spans at 2 dBm, step_km 0.05 vs 0.025
+        # (steps of at most 0.1 and 0.05 km), in complex128, where the step
+        # error is not buried under the ~6e-7 dB that every complex64 split
+        # step loses
         (p_ref, _), = noiseless_apsds(reference, regions, (10.0,), 2.0,
                                       FiberParams(step_km=0.05), 10, reference=True)
         (p_ref_fine, _), = noiseless_apsds(reference, regions, (10.0,), 2.0,
                                            FiberParams(step_km=0.025), 10, reference=True)
         assert abs(p_ref - p_ref_fine) < 0.01
         # and the desk worst case (+6 dBm, +10 dB probe, 10 spans): the
-        # preset's step in complex64 against 0.1 km in complex128, which
-        # also bounds the complex64 drift of the reference APSD
+        # preset's step in complex64 against step_km 0.05 (no step over
+        # 0.1 km) in complex128, which also bounds the complex64 drift of the
+        # reference APSD
         cfg = desk_preset()
         (p_ref, p_n), = noiseless_apsds(reference, regions, (10.0,), 6.0, cfg.fiber, 10)
         (p_ref_fine, p_n_fine), = noiseless_apsds(reference, regions, (10.0,), 6.0,
-                                                  FiberParams(step_km=0.1), 10,
+                                                  FiberParams(step_km=0.05), 10,
                                                   reference=True)
         assert abs(p_n - p_n_fine) <= 0.05
         assert abs(p_ref - p_ref_fine) <= 0.01
