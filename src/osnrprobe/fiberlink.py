@@ -3,9 +3,10 @@
 The dual-polarization field is advanced with a symmetric split-step scheme:
 half-step linear operator (dispersion + loss) in the frequency domain, full
 nonlinear phase rotation at the step midpoint, half-step linear. The steps
-are not uniform: `FiberParams.step_lengths_km` gives each the same effective
-nonlinear length, `step_km`, up to twice `step_km` in the tail of the span,
-so a 100 km span takes 77 steps at the default 0.7 km. The link
+are not uniform: `FiberParams.step_lengths_km` gives each step the same
+effective nonlinear length, `step_km`, and caps the steps in the tail of
+the span at twice `step_km`, so a 100 km span takes 77 steps at the default
+0.7 km. The link
 has one span model, `LinkConfig`: every span is the fiber followed by an
 EDFA whose gain equals the span loss and which injects white ASE, so the
 ASE density never depends on the loaded spectrum.
