@@ -23,7 +23,7 @@ def _load_config(args) -> ExperimentConfig:
 
 def cmd_dataset(args) -> int:
     cfg = _load_config(args)
-    rows = run_dataset(cfg, args.out, workers=args.workers, fft_workers=args.fft_workers)
+    rows = run_dataset(cfg, args.out)
     try:
         report, _ = estimator.cross_validate(estimator.Dataset(rows))
     except ValueError as exc:  # too few rows under the cap, or a degenerate grid
@@ -67,10 +67,10 @@ def cmd_margin(args) -> int:
 
 def cmd_psd(args) -> int:
     cfg = _load_config(args)
+    link = LinkConfig(cfg.fiber, args.spans, args.power_dbm, None if args.no_ase else args.nf_db)
     ref = generate_reference(cfg.tx)
     profile = build_profile(ref, REGIONS, args.delta_db)
     tx = add_tx_noise_floor(apply_perturbation(ref, profile), cfg.tx, _nfl_seed(cfg, 0, 0, 0))
-    link = LinkConfig(cfg.fiber, args.spans, args.power_dbm, None if args.no_ase else args.nf_db)
     (_, (rx,), _), = simulate_link([tx], link, [cfg.seed], [args.spans])
     estimate_psd(rx).save_csv(args.out)
     print(f"wrote received PSD trace to {args.out}")
@@ -92,8 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dataset", parents=[common],
                        help="simulate the scenario grid into a feature CSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1, help="work units run in parallel")
-    p.add_argument("--fft-workers", type=int, default=2, help="threads per FFT call")
     p.set_defaults(func=cmd_dataset)
 
     p = sub.add_parser("fit", help="fit OSNR coefficients from a dataset CSV")

@@ -75,6 +75,12 @@ class FeatureRow:
         if not all(math.isfinite(v) for v in vals):
             raise ValueError("feature row contains non-finite values")
 
+    @property
+    def key(self) -> tuple:
+        """The scenario's identity, (launch_power_dbm, nf_db, n_spans): what
+        a dataset holds at most once, and the order files are written in."""
+        return (self.launch_power_dbm, self.nf_db, self.n_spans)
+
     def features(self) -> np.ndarray:
         """Design-matrix row including the intercept column."""
         return np.array([1.0, self.p_ref_db, *self.p_n_db])
@@ -161,7 +167,7 @@ class Dataset:
 
 def in_file_order(rows) -> list:
     """Rows in the order save_rows writes them: by power, NF, spans."""
-    return sorted(rows, key=lambda r: (r.launch_power_dbm, r.nf_db, r.n_spans))
+    return sorted(rows, key=lambda r: r.key)
 
 
 def save_rows(rows: Sequence[FeatureRow], path) -> None:
@@ -195,11 +201,10 @@ def load_rows(path) -> list:
                 n_spans=int(rec["n_spans"]),
                 nf_db=float(rec["nf_db"]),
             )
-            key = (row.launch_power_dbm, row.nf_db, row.n_spans)
-            if key in seen:
-                raise ValueError(f"{path} holds the scenario power={key[0]:+g} dBm "
-                                 f"nf={key[1]:g} dB spans={key[2]} twice")
-            seen.add(key)
+            if row.key in seen:
+                raise ValueError(f"{path} holds the scenario power={row.launch_power_dbm:+g} "
+                                 f"dBm nf={row.nf_db:g} dB spans={row.n_spans} twice")
+            seen.add(row.key)
             rows.append(row)
     return rows
 

@@ -14,7 +14,6 @@ each probe and span count separately.
 """
 
 import json
-import math
 import os
 import time
 import typing
@@ -27,7 +26,7 @@ import numpy as np
 from . import estimator
 from .estimator import DELTA_GRID_DB, build_feature_row
 from .field import SampledField
-from .fiberlink import FiberParams, LinkConfig, analytic_osnr, simulate_link
+from .fiberlink import FiberParams, LinkConfig, analytic_osnr, parallelism, simulate_link
 from .spectrum import MIN_FIELD_SAMPLES, measure
 from .waveform import (REGIONS, TxConfig, add_tx_noise_floor, apply_perturbation,
                        build_profile, generate_reference)
@@ -40,9 +39,10 @@ class ExperimentConfig:
     """Everything a dataset run needs, JSON round-trippable. Every field
     changes the simulated rows; the signal, the probe geometry, the probe
     grid and the OSNR cap are constants. A record too short to measure, a
-    lossless fiber, a grid that repeats a value or a negative seed is
-    rejected here, before anything propagates; `from_json` also rejects a
-    value of the wrong JSON type, by key."""
+    lossless fiber, a grid that repeats a value, a negative seed, or a launch
+    power or noise figure that `fiberlink.LinkConfig` refuses is rejected
+    here, before anything propagates; `from_json` also rejects a value of
+    the wrong JSON type, by key."""
 
     tx: TxConfig = field(default_factory=TxConfig)
     fiber: FiberParams = field(default_factory=FiberParams)
@@ -65,13 +65,12 @@ class ExperimentConfig:
             raise ValueError("span counts must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not all(math.isfinite(p) for p in self.powers_dbm):
-            raise ValueError(f"launch powers must be finite, got {list(self.powers_dbm)} dBm")
         if not self.fiber.span_loss_db > 0:
             raise ValueError(f"span loss must be positive, got {self.fiber.span_loss_db:g} dB: "
                              "each EDFA restores it, so a lossless span adds no ASE")
-        for nf in self.nf_dbs:
-            LinkConfig(self.fiber, 1, 0.0, nf)  # rejects a noise figure under the quantum limit
+        for power in self.powers_dbm:
+            for nf in self.nf_dbs:  # rejects a non-finite power or an NF under the quantum limit
+                LinkConfig(self.fiber, 1, power, nf)
         n = self.tx.n_symbols * self.tx.samples_per_symbol
         if n < MIN_FIELD_SAMPLES:
             raise ValueError(f"record of {n} samples too short for PSD estimation "
@@ -140,7 +139,8 @@ def desk_preset() -> ExperimentConfig:
     """Reduced grid that a workstation can turn around: 2^14 symbols at the
     default 2 samples/symbol (N = 2^15), the default 0.7 km step (77 per
     span), seven span counts. The 140 scenarios took 3.1 min on a shared
-    2-core machine with two worker processes and one FFT thread each."""
+    2-core machine, on the two processes with one FFT thread each that
+    `run_dataset` picks there."""
     return ExperimentConfig(
         tx=TxConfig(n_symbols=2**14, seed=1234),
         spans=(1, 5, 10, 15, 20, 25, 30),
@@ -151,8 +151,7 @@ def paper_preset() -> ExperimentConfig:
     """Full-scale grid: 2^17 symbols at the default 2 samples/symbol
     (N = 2^18), the default 0.7 km step (77 per span), spans 1..30. One
     span of a work unit's (10, N) stack took 6.4-7.2 s with one FFT thread
-    on a shared 2-core machine (18.4 s at the former uniform 0.5 km steps),
-    so the 20 units are about 1.1 h serial."""
+    on a shared 2-core machine, so the 20 units are about 1.1 h serial."""
     return ExperimentConfig(
         tx=TxConfig(n_symbols=2**17, seed=1234),
         spans=tuple(range(1, 31)),
@@ -168,10 +167,6 @@ def _nfl_seed(cfg: ExperimentConfig, ip: int, inf_: int, idelta: int):
 
 def _chain_ase_seed(cfg: ExperimentConfig, ip: int, inf_: int, idelta: int) -> int:
     return int(np.random.SeedSequence((cfg.seed, 0xACE, ip, inf_, idelta)).generate_state(1)[0])
-
-
-def _scenario_key(power: float, nf: float, spans: int):
-    return (repr(float(power)), repr(float(nf)), int(spans))
 
 
 def _run_unit(cfg: ExperimentConfig, ip: int, inf_: int, ref: SampledField,
@@ -199,8 +194,8 @@ def _run_unit(cfg: ExperimentConfig, ip: int, inf_: int, ref: SampledField,
     return rows, max_phi, time.monotonic() - started
 
 
-def run_dataset(cfg: ExperimentConfig, out_path, workers: int = 1,
-                fft_workers: int = 2, log=print) -> list:
+def run_dataset(cfg: ExperimentConfig, out_path, fft_workers: typing.Optional[int] = None,
+                log=print) -> list:
     """Run the scenario grid and persist feature rows as CSV.
 
     Resumable: rows already present in out_path are kept and their (power,
@@ -211,6 +206,11 @@ def run_dataset(cfg: ExperimentConfig, out_path, workers: int = 1,
     or (as `estimator.load_rows` refuses) a scenario twice, is refused before
     anything is simulated, and its bytes are left as they are: its rows came
     from other seeds or physics, or from an edit.
+
+    The pending units run in as many processes as `fiberlink.parallelism`
+    gives for their count, in this process when that is one, each with that
+    rule's FFT threads unless fft_workers sets them; the first log line
+    states both. No row depends on either.
     """
     out_path = Path(out_path)
     config_path = out_path.with_name(out_path.name + ".config.json")
@@ -220,43 +220,42 @@ def run_dataset(cfg: ExperimentConfig, out_path, workers: int = 1,
         if not config_path.exists() or config_path.read_text() != config:
             raise ValueError(f"{out_path} was not written by this config ({config_path} is "
                              "missing or differs); move it aside or write to another path")
-        grid_keys = {_scenario_key(p, nf, s) for p in cfg.powers_dbm
-                     for nf in cfg.nf_dbs for s in cfg.spans}
+        grid_keys = {(p, nf, s) for p in cfg.powers_dbm for nf in cfg.nf_dbs for s in cfg.spans}
         for row in estimator.load_rows(out_path):
-            key = _scenario_key(row.launch_power_dbm, row.nf_db, row.n_spans)
-            if key not in grid_keys:
+            if row.key not in grid_keys:
                 raise ValueError(
                     f"{out_path} holds the scenario power={row.launch_power_dbm:+g} dBm "
                     f"nf={row.nf_db:g} dB spans={row.n_spans} outside the configured "
                     "grid; this config never writes that, so the file was edited")
-            rows_by_key[key] = row
-        if rows_by_key:
-            log(f"resuming: {len(rows_by_key)} rows already in {out_path}")
+            rows_by_key[row.key] = row
+
+    units = [(ip, inf_) for ip, power in enumerate(cfg.powers_dbm)
+             for inf_, nf in enumerate(cfg.nf_dbs)
+             if not all((power, nf, s) in rows_by_key for s in cfg.spans)]
+    if not units:
+        log("dataset already complete; no simulations to run")
+        return estimator.in_file_order(rows_by_key.values())
+    processes, threads = parallelism(len(units))
+    if fft_workers is not None:
+        threads = fft_workers
+    log(f"work units: {len(units)}, processes: {processes}, "
+        f"FFT threads per process: {threads}")
+    if rows_by_key:
+        log(f"resuming: {len(rows_by_key)} rows already in {out_path}")
     ref = generate_reference(cfg.tx)
     profiles = [build_profile(ref, REGIONS, delta_db) for delta_db in DELTA_GRID_DB]
     if not out_path.exists():
         out_path.parent.mkdir(parents=True, exist_ok=True)
         config_path.write_text(config)
 
-    units = []
-    for ip, power in enumerate(cfg.powers_dbm):
-        for inf_, nf in enumerate(cfg.nf_dbs):
-            have_all = all(_scenario_key(power, nf, s) in rows_by_key for s in cfg.spans)
-            if not have_all:
-                units.append((ip, inf_))
-
-    if not units:
-        log("dataset already complete; no simulations to run")
-        return estimator.in_file_order(rows_by_key.values())
-
     def results():
         """_run_unit's result per unit, in the order the units finish."""
-        if workers <= 1:
+        if processes == 1:
             for ip, inf_ in units:
-                yield _run_unit(cfg, ip, inf_, ref, profiles, fft_workers)
+                yield _run_unit(cfg, ip, inf_, ref, profiles, threads)
             return
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_unit, cfg, ip, inf_, ref, profiles, fft_workers)
+        with ProcessPoolExecutor(processes) as pool:
+            futures = [pool.submit(_run_unit, cfg, ip, inf_, ref, profiles, threads)
                        for ip, inf_ in units]
             for fut in as_completed(futures):
                 yield fut.result()
@@ -265,7 +264,7 @@ def run_dataset(cfg: ExperimentConfig, out_path, workers: int = 1,
     tmp = out_path.with_suffix(out_path.suffix + ".tmp")
     for n, (unit_rows, max_phi, seconds) in enumerate(results(), 1):
         for row in unit_rows:
-            rows_by_key[_scenario_key(row.launch_power_dbm, row.nf_db, row.n_spans)] = row
+            rows_by_key[row.key] = row
         estimator.save_rows(list(rows_by_key.values()), tmp)
         os.replace(tmp, out_path)
         log(f"[{n}/{len(units)}] power={unit_rows[0].launch_power_dbm:+g} dBm "

@@ -33,6 +33,7 @@ bandwidth `REFERENCE_BANDWIDTH_HZ`. None of them is a parameter.
 """
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -153,6 +154,8 @@ class LinkConfig:
     def __post_init__(self):
         if self.n_spans < 0:
             raise ValueError("n_spans must be >= 0")
+        if not math.isfinite(self.launch_power_dbm):
+            raise ValueError(f"launch_power_dbm {self.launch_power_dbm} not finite")
         if self.nf_db is not None and not QUANTUM_NF_DB - 1e-9 <= self.nf_db < math.inf:
             raise ValueError(f"nf_db {self.nf_db} not finite or under the quantum limit")
 
@@ -175,6 +178,27 @@ class LinkConfig:
             return 0.0
         n_sp = 10.0 ** (self.nf_db / 10.0) / 2.0
         return n_sp * H_PLANCK_J_S * CARRIER_HZ * (self.gain_linear - 1.0)
+
+
+def usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity set where the
+    platform has one, else the machine's core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def parallelism(units: int = 1) -> tuple[int, int]:
+    """(processes, FFT threads per process) for `units` >= 1 independent
+    work units: one process per unit up to the usable cores, and each process
+    the cores left to it, `usable_cores() // processes`, as FFT threads.
+    Processes come first because the split step's FFTs scale worse across
+    threads than across units: on a shared 2-core VM the 20-unit desk grid
+    took 282 s on one process with two FFT threads and 171-206 s on two
+    processes with one each."""
+    cores = usable_cores()
+    processes = min(cores, units)
+    return processes, cores // processes
 
 
 def span_seed(ase_seed: int, span_idx: int) -> np.random.SeedSequence:
@@ -255,7 +279,7 @@ class _SplitStep:
 
 
 def propagate(stack: np.ndarray, sample_rate: float, link: LinkConfig, ase_seeds, taps,
-              workers: int = 2):
+              workers: Optional[int] = None):
     """Advance a (2P, N) stack of P dual-polarization fields over `link`,
     span by span, in place, and yield (k, max_phi) after span k for every k
     in taps (each in 1..link.n_spans), where max_phi is the largest
@@ -266,9 +290,10 @@ def propagate(stack: np.ndarray, sample_rate: float, link: LinkConfig, ase_seeds
     link.nf_db is None, ASE. Rows 2i and 2i+1 hold field i (x, y), and the
     EDFA after span k draws its ASE from span_seed(ase_seeds[i], k), so a
     field's bytes are the same whether it travels alone or in a stack.
-    `workers` (FFT threads) stays a parameter: the CLI runs 2, perfbench 1.
-    The arguments are checked here, when propagate is called; the spans run
-    as the returned generator is consumed.
+    `workers` FFT threads run each transform, by default every usable core
+    (`parallelism()`); a field's bytes do not depend on it. The arguments
+    are checked here, when propagate is called; the spans run as the
+    returned generator is consumed.
     """
     if stack.ndim != 2 or stack.shape[0] % 2:
         raise ValueError("stack must be (2P, N): an x and a y row per field")
@@ -279,6 +304,8 @@ def propagate(stack: np.ndarray, sample_rate: float, link: LinkConfig, ase_seeds
     if not taps <= set(range(1, link.n_spans + 1)):
         raise ValueError(f"tap spans {sorted(taps)} outside the link's "
                          f"1..{link.n_spans}")
+    if workers is None:
+        workers = parallelism()[1]
     return _spans(stack, sample_rate, link, ase_seeds, taps, workers)
 
 
@@ -318,7 +345,7 @@ def _add_ase(pair: np.ndarray, noise: np.ndarray, sigma: float) -> None:
     pair.imag += noise[1]
 
 
-def simulate_link(fields, link: LinkConfig, ase_seeds, taps, workers: int = 2):
+def simulate_link(fields, link: LinkConfig, ase_seeds, taps, workers: Optional[int] = None):
     """The one launch path: draw the fields one at a time into a complex64
     stack, field i scaled by float32(sqrt(P_launch / total_power)) (an
     all-zero field stays zero) and amplified with ASE from ase_seeds[i];

@@ -130,10 +130,10 @@ class PerturbationProfile:
     k_b: float
 
     def __post_init__(self):
-        if self.delta_a < 0 or self.delta_b <= 0:
+        if not (self.delta_a >= 0 and self.delta_b > 0):  # written so that NaN fails
             raise InfeasiblePerturbationError("PSD ratios must be non-negative, delta_b > 0")
         budget = self.k_a * self.delta_a + self.k_b * self.delta_b
-        if abs(budget - 1.0) > 1e-9:
+        if not abs(budget - 1.0) <= 1e-9:
             raise InfeasiblePerturbationError(
                 f"power not conserved: K-weighted ratio sum {budget!r} != 1"
             )

@@ -3,8 +3,8 @@
 Run with `pytest -s tests/test_acceptance.py` to see one PASS line per
 criterion. The desk-scale end-to-end criterion needs the full dataset in
 data/desk_dataset.csv (about 3 min to regenerate with `osnrprobe dataset
---preset desk --workers 2 --fft-workers 1`) and fails when the file misses
-any desk scenario, unless OSNRPROBE_RUN_DESK=1 completes it in place first.
+--preset desk`) and fails when the file misses any desk scenario, unless
+OSNRPROBE_RUN_DESK=1 completes it in place first.
 """
 
 import math
@@ -241,8 +241,7 @@ class TestDeskScaleReproduction:
                     for s in cfg.spans}
         have = set()
         if DESK_DATASET.exists():
-            have = {(r.launch_power_dbm, r.nf_db, r.n_spans)
-                    for r in estimator.load_rows(DESK_DATASET)}
+            have = {r.key for r in estimator.load_rows(DESK_DATASET)}
         missing = expected - have
 
         if missing and os.environ.get("OSNRPROBE_RUN_DESK") == "1":
@@ -253,8 +252,8 @@ class TestDeskScaleReproduction:
             pytest.fail(
                 f"desk dataset lacks {len(missing)} of {len(expected)} scenarios, "
                 f"the (power, NF) units {units}; generate with `osnrprobe dataset "
-                "--preset desk --workers 2 --fft-workers 1 --out data/desk_dataset.csv` "
-                "(about 3 min) or set OSNRPROBE_RUN_DESK=1")
+                "--preset desk --out data/desk_dataset.csv` (about 3 min) "
+                "or set OSNRPROBE_RUN_DESK=1")
 
         dataset = Dataset(estimator.load_rows(DESK_DATASET))
         pooled, _ = estimator.cross_validate(dataset)

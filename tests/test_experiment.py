@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from osnrprobe import cli, estimator, experiment
+from osnrprobe import cli, estimator, experiment, fiberlink
 from osnrprobe.estimator import DELTA_GRID_DB
 from osnrprobe.experiment import (
     ExperimentConfig,
@@ -336,18 +336,37 @@ class TestCli:
                 float(-2 + 2 * (i % 5)), 1 + (i % 6) * 5, 4.5 + (i % 4)))
         calls = []
 
-        def fake_run(cfg, out, workers, fft_workers):
-            calls.append((workers, fft_workers))
+        def fake_run(cfg, out):
+            calls.append(out)
             return rows
 
         monkeypatch.setattr(cli, "run_dataset", fake_run)
-        assert cli.main(["dataset", "--out", str(tmp_path / "rows.csv"),
-                         "--fft-workers", "1"]) == 0
-        assert calls == [(1, 1)]
+        assert cli.main(["dataset", "--out", str(tmp_path / "rows.csv")]) == 0
+        assert calls == [str(tmp_path / "rows.csv")]
         out = capsys.readouterr().out
         assert "cross-validated RMSE:" in out
         for power in ("-2", "+0", "+2", "+4", "+6"):
             assert f"launch {power} dBm: RMSE" in out
+
+    @pytest.mark.parametrize("flag", ["--workers", "--fft-workers"])
+    def test_dataset_takes_no_parallelism_flag(self, tmp_path, flag, capsys):
+        # the run works out its processes and FFT threads from the machine
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["dataset", "--out", str(tmp_path / "rows.csv"), flag, "2"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("power", ["nan", "inf", "-inf"])
+    def test_psd_non_finite_power_fails_before_propagation(self, tmp_path, monkeypatch, power):
+        def no_propagation(*args, **kwargs):
+            raise AssertionError("a span was propagated before the power check")
+
+        monkeypatch.setattr(cli, "simulate_link", no_propagation)
+        with pytest.raises(ValueError, match="launch_power_dbm .* not finite"):
+            cli.main(["psd", "--spans", "1", f"--power-dbm={power}",
+                      "--out", str(tmp_path / "trace.csv")])
+        assert list(tmp_path.iterdir()) == []
 
     def test_dataset_and_psd_commands(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -364,15 +383,46 @@ class TestCli:
 
 
 class TestWorkers:
-    def test_process_pool_matches_serial(self, tmp_path):
+    def test_process_pool_matches_serial(self, tmp_path, monkeypatch):
+        # one core runs the two units in this process, two cores in two
+        # processes with one FFT thread each; the bytes are the same
         cfg = tiny_config(powers_dbm=(0.0, 2.0))
         serial = tmp_path / "serial.csv"
         pooled = tmp_path / "pooled.csv"
-        run_dataset(cfg, serial, workers=1, log=lambda *_: None)
         messages = []
-        run_dataset(cfg, pooled, workers=2, fft_workers=1, log=messages.append)
+        monkeypatch.setattr(fiberlink, "usable_cores", lambda: 1)
+        run_dataset(cfg, serial, log=messages.append)
+        assert messages[0] == "work units: 2, processes: 1, FFT threads per process: 1"
+        messages = []
+        monkeypatch.setattr(fiberlink, "usable_cores", lambda: 2)
+        run_dataset(cfg, pooled, log=messages.append)
+        assert messages[0] == "work units: 2, processes: 2, FFT threads per process: 1"
         assert file_hash(serial) == file_hash(pooled)
         assert sum(" done in " in m for m in messages) == 2  # each unit's wall time
+
+    def test_one_unit_runs_in_process(self, tmp_path, monkeypatch):
+        # a single pending unit, as in every benchmark operation or a resume
+        # with one unit left, builds no process pool and takes every core
+        # as FFT threads; an explicit fft_workers overrides the threads only
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was built for one work unit")
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(fiberlink, "usable_cores", lambda: 2)
+        messages = []
+        run_dataset(tiny_config(), tmp_path / "a.csv", log=messages.append)
+        assert messages[0] == "work units: 1, processes: 1, FFT threads per process: 2"
+        messages = []
+        run_dataset(tiny_config(), tmp_path / "b.csv", fft_workers=1, log=messages.append)
+        assert messages[0] == "work units: 1, processes: 1, FFT threads per process: 1"
+        assert file_hash(tmp_path / "a.csv") == file_hash(tmp_path / "b.csv")
+
+    @pytest.mark.parametrize("cores, units, want", [
+        (1, 20, (1, 1)), (2, 20, (2, 1)), (2, 1, (1, 2)), (4, 3, (3, 1)), (8, 3, (3, 2)),
+    ])
+    def test_parallelism_rule(self, monkeypatch, cores, units, want):
+        monkeypatch.setattr(fiberlink, "usable_cores", lambda: cores)
+        assert fiberlink.parallelism(units) == want
 
 
 class TestResumeHygiene:

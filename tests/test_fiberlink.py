@@ -162,6 +162,13 @@ class TestAmplify:
             with pytest.raises(ValueError, match="quantum"):
                 LinkConfig(FiberParams(), 1, 0.0, nf_db)
 
+    def test_launch_power_must_be_finite(self):
+        # a NaN power would otherwise propagate every span before the
+        # readback found the field non-finite
+        for power_dbm in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="launch_power_dbm .* not finite"):
+                LinkConfig(FiberParams(), 1, power_dbm, 4.5)
+
 
 class TestBatchedEngine:
     def test_stack_matches_fields_run_alone(self, reference, regions):

@@ -138,9 +138,14 @@ class TestApplyPerturbation:
         after = np.fft.fft(out.samples_x)[outside]
         assert np.max(np.abs(after - before)) <= 1e-12 * np.max(np.abs(before))
 
-    def test_profile_invariant_enforced(self, regions):
+    def test_profile_invariant_enforced(self, reference, regions):
         with pytest.raises(InfeasiblePerturbationError, match="not conserved"):
             PerturbationProfile(10.0, 1.0, regions, 0.0352, 0.9296)
+        # NaN fails every comparison, so the checks are written to fail on it
+        with pytest.raises(InfeasiblePerturbationError, match="non-negative"):
+            build_profile(reference, regions, math.nan)
+        with pytest.raises(InfeasiblePerturbationError, match="not conserved"):
+            PerturbationProfile(1.0, 1.0, regions, math.nan, 0.5)
 
 
 class TestNoiseFloor:
