@@ -156,6 +156,11 @@ class LinkConfig:
             raise ValueError("n_spans must be >= 0")
         if not math.isfinite(self.launch_power_dbm):
             raise ValueError(f"launch_power_dbm {self.launch_power_dbm} not finite")
+        try:
+            self.launch_power_w
+        except OverflowError:
+            raise ValueError(f"launch_power_dbm {self.launch_power_dbm} overflows "
+                             "a float in W") from None
         if self.nf_db is not None and not QUANTUM_NF_DB - 1e-9 <= self.nf_db < math.inf:
             raise ValueError(f"nf_db {self.nf_db} not finite or under the quantum limit")
 

@@ -6,9 +6,15 @@ bands (A), the compensating remainder (B), and the notch (N, zeroed). Ratios
 are chosen so total transmitted power never changes. The regions are one
 constant, `REGIONS`, which tiles the signal's occupied band.
 
-Every transform runs over both polarizations at once, as one (2, N) numpy
-FFT call, and a field's forward transform is `SampledField.spectrum`,
-computed once and shared by every profile and probe built from it.
+The transmitter works on spectra, as the probes are defined. The reference
+and each probe are built from their (2, N) spectrum
+(`SampledField.from_spectrum`), so a probe is its reference's spectrum times
+a gain, and the noise floor is added to the probe's spectrum before the one
+inverse transform that gives its samples. Every transform runs over both
+polarizations at once, as one (2, N) numpy FFT call: a reference and its
+five floored probes cost 6 transforms, one forward and five inverse. The
+samples of the reference and of an unfloored probe are computed only if
+something reads them.
 """
 
 import functools
@@ -18,7 +24,11 @@ from typing import Optional
 
 import numpy as np
 
-from .field import SampledField, _is_smooth
+from .field import SampledField, _energy, _is_smooth
+
+# Bound once: perfbench's tracer swaps this module's `SampledField` for a
+# plain function while it times a call.
+_from_spectrum = SampledField.from_spectrum
 
 QPSK_POINTS = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / np.sqrt(2)
 
@@ -184,10 +194,10 @@ def generate_reference(cfg: TxConfig) -> SampledField:
         impulses[:: cfg.samples_per_symbol] = QPSK_POINTS[rng.integers(0, 4, cfg.n_symbols)]
     np.fft.fft(pols, axis=1, out=pols)
     pols *= shaping
-    np.fft.ifft(pols, axis=1, out=pols)
-    x, y = pols
-    pols *= 1.0 / math.sqrt(np.mean(np.abs(x) ** 2) + np.mean(np.abs(y) ** 2))
-    return SampledField(x, y, cfg.sample_rate)
+    # Unit mean power by Parseval: the two polarizations' mean |x|^2 sum to
+    # sum |X|^2 / n^2.
+    pols *= n / math.sqrt(_energy(*pols))
+    return _from_spectrum(pols, cfg.sample_rate)
 
 
 def power_fractions(fld: SampledField, regions: RegionSet):
@@ -245,9 +255,16 @@ def apply_perturbation(fld: SampledField, profile: PerturbationProfile) -> Sampl
     gain[m_a] = math.sqrt(profile.delta_a)
     gain[m_b] = math.sqrt(profile.delta_b)
     gain[m_n] = 0.0
-    spec = fld.spectrum * gain
-    x, y = np.fft.ifft(spec, axis=1, out=spec)
-    return SampledField(x, y, fld.sample_rate)
+    return _from_spectrum(fld.spectrum * gain, fld.sample_rate)
+
+
+@functools.lru_cache(maxsize=8)
+def _band_bins(n: int, sample_rate: float) -> tuple:
+    """(k1, k2): the bandwidth of interest, which holds 0 Hz, is the two
+    contiguous bin ranges [0, k1) and [n - k2, n) of the n-point FFT grid."""
+    boi = _masks(REGIONS, n, sample_rate)[3]
+    half = (n + 1) // 2  # fftfreq's non-negative frequencies come first
+    return int(np.count_nonzero(boi[:half])), int(np.count_nonzero(boi[half:]))
 
 
 def add_tx_noise_floor(fld: SampledField, cfg: TxConfig, seed) -> SampledField:
@@ -257,30 +274,30 @@ def add_tx_noise_floor(fld: SampledField, cfg: TxConfig, seed) -> SampledField:
 
     The reference level is computed from the input field's in-band power,
     which perturbation leaves unchanged, so the floor is the same for every
-    profile.
+    profile. The noise is added to a copy of the field's spectrum, which one
+    inverse transform turns into the returned field's samples; the result
+    keeps no spectrum.
     """
     if cfg.nfl_rel_db is None:
         return fld  # read-only samples: sharing the field is as safe as a copy
     lo, hi = REGIONS.f_boi
     n = len(fld)
-    boi = _masks(REGIONS, n, fld.sample_rate)[3]
-    width = hi - lo
-    psd_x, psd_y = np.abs(fld.spectrum[:, boi]) ** 2
-    in_band_power = (psd_x.sum() + psd_y.sum()) / n**2
-    signal_apsd = in_band_power / width  # both polarizations, W/Hz
+    k1, k2 = _band_bins(n, fld.sample_rate)
+    spec = fld.spectrum.copy()
+    in_band = (spec[:, :k1], spec[:, n - k2:])
+    in_band_power = _energy(*in_band[0], *in_band[1]) / n**2
+    signal_apsd = in_band_power / (hi - lo)  # both polarizations, W/Hz
     noise_psd_per_pol = 0.5 * signal_apsd * 10.0 ** (cfg.nfl_rel_db / 10.0)
 
     rng = np.random.default_rng(seed)
     # E|W[k]|^2 = psd * n * fs on in-band bins makes the periodogram sit at
     # the target density. The x polarization's (real, imaginary) draws come
-    # first, then the y polarization's.
+    # first, then the y polarization's, each over the bins in FFT order.
     amp = math.sqrt(noise_psd_per_pol * n * fld.sample_rate / 2.0)
-    draws = rng.standard_normal((2, 2, psd_x.size))
+    draws = rng.standard_normal((2, 2, k1 + k2))
     draws *= amp
-    spec = np.zeros((2, n), dtype=complex)
-    spec.real[:, boi] = draws[:, 0]
-    spec.imag[:, boi] = draws[:, 1]
+    for part, bins in zip(in_band, (slice(0, k1), slice(k1, None))):
+        part.real += draws[:, 0, bins]
+        part.imag += draws[:, 1, bins]
     x, y = np.fft.ifft(spec, axis=1, out=spec)
-    x += fld.samples_x
-    y += fld.samples_y
     return SampledField(x, y, fld.sample_rate)

@@ -145,12 +145,13 @@ class TestConfig:
             tiny_config(powers_dbm=())
 
     @pytest.mark.parametrize("bad", [dict(powers_dbm=(math.nan,)), dict(powers_dbm=(math.inf,)),
+                                     dict(powers_dbm=(2.0, 4000.0)),
                                      dict(nf_dbs=(math.nan,)), dict(nf_dbs=(2.0,)),
                                      dict(powers_dbm=(2.0, 2.0)), dict(nf_dbs=(4.5, 5.5, 4.5)),
                                      dict(spans=(1, 2, 1))])
     def test_rejects_non_physical_grid(self, bad):
         # a repeated value would simulate one scenario twice under two seeds
-        with pytest.raises(ValueError, match="finite|quantum|repeats"):
+        with pytest.raises(ValueError, match="finite|overflows|quantum|repeats"):
             tiny_config(**bad)
 
     def test_rejects_lossless_fiber(self):
@@ -357,16 +358,25 @@ class TestCli:
         assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("power", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("power", ["nan", "inf", "-inf", "4000"])
     def test_psd_non_finite_power_fails_before_propagation(self, tmp_path, monkeypatch, power):
+        # 4000 dBm is finite, but its watts overflow a float
         def no_propagation(*args, **kwargs):
             raise AssertionError("a span was propagated before the power check")
 
         monkeypatch.setattr(cli, "simulate_link", no_propagation)
-        with pytest.raises(ValueError, match="launch_power_dbm .* not finite"):
+        with pytest.raises(ValueError, match="launch_power_dbm .* (not finite|overflows)"):
             cli.main(["psd", "--spans", "1", f"--power-dbm={power}",
                       "--out", str(tmp_path / "trace.csv")])
         assert list(tmp_path.iterdir()) == []
+
+    def test_psd_trace_is_pinned(self, tmp_path):
+        # the single-probe path end to end: synthesis, floor, one span, OSA
+        out = tmp_path / "trace.csv"
+        assert cli.main(["psd", "--preset", "desk", "--spans", "1", "--power-dbm", "6",
+                         "--delta-db", "10", "--out", str(out)]) == 0
+        assert file_hash(out) == (
+            "975d26c8adf3bd02ede14d35df2fde248ae3ebcf473828c087a35de5d564f43d")
 
     def test_dataset_and_psd_commands(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -164,10 +164,13 @@ class TestAmplify:
 
     def test_launch_power_must_be_finite(self):
         # a NaN power would otherwise propagate every span before the
-        # readback found the field non-finite
+        # readback found the field non-finite, and one whose watts overflow
+        # would fail only at launch
         for power_dbm in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="launch_power_dbm .* not finite"):
                 LinkConfig(FiberParams(), 1, power_dbm, 4.5)
+        with pytest.raises(ValueError, match="launch_power_dbm 4000.0 overflows"):
+            LinkConfig(FiberParams(), 1, 4000.0, 4.5)
 
 
 class TestBatchedEngine:
