@@ -137,8 +137,8 @@ def _json_type_name(kind) -> str:
 
 def desk_preset() -> ExperimentConfig:
     """Reduced grid that a workstation can turn around: 2^14 symbols at the
-    default 2 samples/symbol (N = 2^15), the default 0.7 km step (77 per
-    span), seven span counts. The 140 scenarios took 3.1 min on a shared
+    default 2 samples/symbol (N = 2^15), the default 1.4 km step (38 per
+    span), seven span counts. The 140 scenarios took 59-61 s on a shared
     2-core machine, on the two processes with one FFT thread each that
     `run_dataset` picks there."""
     return ExperimentConfig(
@@ -149,9 +149,9 @@ def desk_preset() -> ExperimentConfig:
 
 def paper_preset() -> ExperimentConfig:
     """Full-scale grid: 2^17 symbols at the default 2 samples/symbol
-    (N = 2^18), the default 0.7 km step (77 per span), spans 1..30. One
-    span of a work unit's (10, N) stack took 6.4-7.2 s with one FFT thread
-    on a shared 2-core machine, so the 20 units are about 1.1 h serial."""
+    (N = 2^18), the default 1.4 km step (38 per span), spans 1..30. One
+    span of a work unit's (10, N) stack took 2.0-2.1 s with one FFT thread
+    on a shared 2-core machine, so the 20 units are about 21 min serial."""
     return ExperimentConfig(
         tx=TxConfig(n_symbols=2**17, seed=1234),
         spans=tuple(range(1, 31)),

@@ -2,7 +2,7 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see one PASS line per
 criterion. The desk-scale end-to-end criterion needs the full dataset in
-data/desk_dataset.csv (about 3 min to regenerate with `osnrprobe dataset
+data/desk_dataset.csv (about 1 min to regenerate with `osnrprobe dataset
 --preset desk`) and fails when the file misses any desk scenario, unless
 OSNRPROBE_RUN_DESK=1 completes it in place first.
 """
@@ -252,7 +252,7 @@ class TestDeskScaleReproduction:
             pytest.fail(
                 f"desk dataset lacks {len(missing)} of {len(expected)} scenarios, "
                 f"the (power, NF) units {units}; generate with `osnrprobe dataset "
-                "--preset desk --out data/desk_dataset.csv` (about 3 min) "
+                "--preset desk --out data/desk_dataset.csv` (about 1 min) "
                 "or set OSNRPROBE_RUN_DESK=1")
 
         dataset = Dataset(estimator.load_rows(DESK_DATASET))

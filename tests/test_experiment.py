@@ -5,6 +5,7 @@ import json
 import math
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -168,7 +169,7 @@ class TestConfig:
         cfg = desk_preset()
         assert cfg.tx.n_symbols == 2**14
         assert cfg.tx.samples_per_symbol == 2
-        assert cfg.fiber.step_km == 0.7
+        assert cfg.fiber.step_km == 1.4
         assert cfg.spans == (1, 5, 10, 15, 20, 25, 30)
         assert cfg.powers_dbm == (-2.0, 0.0, 2.0, 4.0, 6.0)
         assert cfg.nf_dbs == (4.5, 5.5, 6.5, 7.5)
@@ -176,7 +177,7 @@ class TestConfig:
     def test_paper_preset_values(self):
         cfg = paper_preset()
         assert cfg.tx.n_symbols == 2**17
-        assert cfg.fiber.step_km == 0.7
+        assert cfg.fiber.step_km == 1.4
         assert cfg.spans == tuple(range(1, 31))
         assert cfg.tx.baud_rate == 56.8e9
         assert cfg.tx.rolloff == 0.07
@@ -231,6 +232,27 @@ class TestRunDataset:
             10 * math.log10(2), abs=1e-9)
         for row in rows:
             assert row.p_ref_db > max(row.p_n_db)  # notch sits below the carrier
+
+    def test_desk_grid_largest_phase_matches_readme(self):
+        # README gives the largest nonlinear phase per step in the desk grid.
+        # The desk file's regeneration logged it in the unit at the grid's
+        # top power and noise figure, run here as the dataset runs it: all
+        # five probes, ASE and the transmitter floor, 30 spans at the
+        # default step, with no warning
+        cfg = desk_preset()
+        assert cfg.fiber == FiberParams()
+        ip, inf_ = cfg.powers_dbm.index(max(cfg.powers_dbm)), cfg.nf_dbs.index(max(cfg.nf_dbs))
+        ref = generate_reference(cfg.tx)
+        profiles = [build_profile(ref, REGIONS, delta_db) for delta_db in DELTA_GRID_DB]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, max_phi, _ = experiment._run_unit(cfg, ip, inf_, ref, profiles,
+                                                 fiberlink.parallelism()[1])
+        readme = " ".join(README.read_text().split())
+        claim = re.search(r"largest nonlinear phase of a step in the desk grid is (\S+) rad", readme)
+        assert claim, "README no longer states the desk grid's largest phase"
+        assert round(max_phi, 3) == float(claim[1])
+        assert max_phi < fiberlink.NL_PHASE_STEP_LIMIT
 
     def test_bad_probe_grid_fails_before_propagation(self, tmp_path, monkeypatch):
         # a +20 dB boost needs K_A < 0.01; the probe geometry carries ~0.035
@@ -376,7 +398,7 @@ class TestCli:
         assert cli.main(["psd", "--preset", "desk", "--spans", "1", "--power-dbm", "6",
                          "--delta-db", "10", "--out", str(out)]) == 0
         assert file_hash(out) == (
-            "975d26c8adf3bd02ede14d35df2fde248ae3ebcf473828c087a35de5d564f43d")
+            "235544aedfb855b93dbbab4bb58f4ec8fd50c1213322e862f278b772c20e7c92")
 
     def test_dataset_and_psd_commands(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
