@@ -12,6 +12,9 @@ from .spectrum import estimate_psd
 from .waveform import (REGIONS, add_tx_noise_floor, apply_perturbation, build_profile,
                        generate_reference)
 
+# the header of the --report predictions CSV (README "Data formats")
+REPORT_COLUMNS = ("truth_osnr_db", "predicted_osnr_db", "power_dbm", "n_spans", "nf_db")
+
 
 def _load_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig.from_json(args.config) if args.config else PRESETS[args.preset]()
@@ -44,7 +47,7 @@ def cmd_fit(args) -> int:
     summary = {**report.as_dict(), "coefficients": coeffs.as_dict()}
     print(json.dumps(summary, indent=2))
     if args.report:
-        report.save_csv(args.report)
+        estimator.write_csv(args.report, REPORT_COLUMNS, report.records)
     return 0
 
 
@@ -54,13 +57,13 @@ def cmd_eval(args) -> int:
     report = estimator.evaluate(dataset, coeffs)
     print(json.dumps(report.as_dict(), indent=2))
     if args.report:
-        report.save_csv(args.report)
+        estimator.write_csv(args.report, REPORT_COLUMNS, report.records)
     return 0
 
 
 def cmd_margin(args) -> int:
     rows = margin.margin_curve()
-    margin.save_margin_csv(rows, args.out)
+    estimator.write_csv(args.out, ("snr_db", "bwd_pert_hz", "penalty_db"), rows)
     print(f"wrote {len(rows)} margin points to {args.out}")
     return 0
 
@@ -72,7 +75,8 @@ def cmd_psd(args) -> int:
     profile = build_profile(ref, REGIONS, args.delta_db)
     tx = add_tx_noise_floor(apply_perturbation(ref, profile), cfg.tx, _nfl_seed(cfg, 0, 0, 0))
     (_, (rx,), _), = simulate_link([tx], link, [cfg.seed], [args.spans])
-    estimate_psd(rx).save_csv(args.out)
+    trace = estimate_psd(rx)
+    estimator.write_csv(args.out, ("freq_hz", "psd_w_per_hz"), zip(trace.freqs, trace.psd))
     print(f"wrote received PSD trace to {args.out}")
     return 0
 

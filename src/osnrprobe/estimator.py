@@ -74,6 +74,12 @@ class FeatureRow:
         vals = (self.p_ref_db, *self.p_n_db, self.truth_osnr_db)
         if not all(math.isfinite(v) for v in vals):
             raise ValueError("feature row contains non-finite values")
+        # the key: a NaN never equals itself, so it passes "each scenario once"
+        if not (math.isfinite(self.launch_power_dbm) and math.isfinite(self.nf_db)):
+            raise ValueError(f"scenario power={self.launch_power_dbm} dBm "
+                             f"nf={self.nf_db} dB not finite")
+        if self.n_spans < 1:
+            raise ValueError(f"n_spans must be >= 1, got {self.n_spans}")
 
     @property
     def key(self) -> tuple:
@@ -170,18 +176,22 @@ def in_file_order(rows) -> list:
     return sorted(rows, key=lambda r: r.key)
 
 
-def save_rows(rows: Sequence[FeatureRow], path) -> None:
-    """Write rows sorted by scenario key with full-precision decimals, so a
-    rerun with the same config reproduces the file byte for byte."""
+def write_csv(path, header, rows) -> None:
+    """The one CSV writer: every float as repr(float(v)), its full-precision
+    decimal, and every other value as csv writes it, so the same numbers
+    always give the same bytes."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for r in in_file_order(rows):
-            writer.writerow([
-                repr(r.launch_power_dbm), r.n_spans, repr(r.nf_db),
-                repr(r.truth_osnr_db), repr(r.p_ref_db),
-                *(repr(v) for v in r.p_n_db),
-            ])
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                          for v in row] for row in rows)
+
+
+def save_rows(rows: Sequence[FeatureRow], path) -> None:
+    """Write rows sorted by scenario key, so a rerun with the same config
+    reproduces the file byte for byte."""
+    write_csv(path, CSV_COLUMNS, ([r.launch_power_dbm, r.n_spans, r.nf_db, r.truth_osnr_db,
+                                   r.p_ref_db, *r.p_n_db] for r in in_file_order(rows)))
 
 
 def load_rows(path) -> list:
@@ -251,16 +261,7 @@ class EvalReport:
     max_abs_error_db: float
     n_rows: int
     per_power_rmse_db: dict
-    records: list = field(repr=False, default_factory=list)
-
-    def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["truth_osnr_db", "predicted_osnr_db",
-                             "power_dbm", "n_spans", "nf_db"])
-            for rec in self.records:
-                writer.writerow([repr(rec[0]), repr(rec[1]), repr(rec[2]),
-                                 rec[3], repr(rec[4])])
+    records: list = field(repr=False, default_factory=list)  # (truth, predicted, power, spans, NF)
 
     def as_dict(self) -> dict:
         return {

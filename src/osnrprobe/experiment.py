@@ -194,8 +194,7 @@ def _run_unit(cfg: ExperimentConfig, ip: int, inf_: int, ref: SampledField,
     return rows, max_phi, time.monotonic() - started
 
 
-def run_dataset(cfg: ExperimentConfig, out_path, fft_workers: typing.Optional[int] = None,
-                log=print) -> list:
+def run_dataset(cfg: ExperimentConfig, out_path, fft_workers: typing.Optional[int] = None) -> list:
     """Run the scenario grid and persist feature rows as CSV.
 
     Resumable: rows already present in out_path are kept and their (power,
@@ -209,8 +208,8 @@ def run_dataset(cfg: ExperimentConfig, out_path, fft_workers: typing.Optional[in
 
     The pending units run in as many processes as `fiberlink.parallelism`
     gives for their count, in this process when that is one, each with that
-    rule's FFT threads unless fft_workers sets them; the first log line
-    states both. No row depends on either.
+    rule's FFT threads unless fft_workers sets them; the first line it
+    prints states both. No row depends on either.
     """
     out_path = Path(out_path)
     config_path = out_path.with_name(out_path.name + ".config.json")
@@ -233,15 +232,15 @@ def run_dataset(cfg: ExperimentConfig, out_path, fft_workers: typing.Optional[in
              for inf_, nf in enumerate(cfg.nf_dbs)
              if not all((power, nf, s) in rows_by_key for s in cfg.spans)]
     if not units:
-        log("dataset already complete; no simulations to run")
+        print("dataset already complete; no simulations to run")
         return estimator.in_file_order(rows_by_key.values())
     processes, threads = parallelism(len(units))
     if fft_workers is not None:
         threads = fft_workers
-    log(f"work units: {len(units)}, processes: {processes}, "
-        f"FFT threads per process: {threads}")
+    print(f"work units: {len(units)}, processes: {processes}, "
+          f"FFT threads per process: {threads}")
     if rows_by_key:
-        log(f"resuming: {len(rows_by_key)} rows already in {out_path}")
+        print(f"resuming: {len(rows_by_key)} rows already in {out_path}")
     ref = generate_reference(cfg.tx)
     profiles = [build_profile(ref, REGIONS, delta_db) for delta_db in DELTA_GRID_DB]
     if not out_path.exists():
@@ -267,9 +266,9 @@ def run_dataset(cfg: ExperimentConfig, out_path, fft_workers: typing.Optional[in
             rows_by_key[row.key] = row
         estimator.save_rows(list(rows_by_key.values()), tmp)
         os.replace(tmp, out_path)
-        log(f"[{n}/{len(units)}] power={unit_rows[0].launch_power_dbm:+g} dBm "
-            f"nf={unit_rows[0].nf_db:g} dB done in {seconds:.1f}s; "
-            f"{cfg.fiber.steps_per_span} steps/span, max nonlinear phase "
-            f"{max_phi:.3g} rad/step")
-    log(f"dataset complete: {len(rows_by_key)} rows in {time.monotonic() - started:.0f}s")
+        print(f"[{n}/{len(units)}] power={unit_rows[0].launch_power_dbm:+g} dBm "
+              f"nf={unit_rows[0].nf_db:g} dB done in {seconds:.1f}s; "
+              f"{cfg.fiber.steps_per_span} steps/span, max nonlinear phase "
+              f"{max_phi:.3g} rad/step")
+    print(f"dataset complete: {len(rows_by_key)} rows in {time.monotonic() - started:.0f}s")
     return estimator.in_file_order(rows_by_key.values())

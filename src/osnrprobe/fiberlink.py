@@ -35,7 +35,7 @@ bandwidth `REFERENCE_BANDWIDTH_HZ`. None of them is a parameter.
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -49,7 +49,9 @@ C_M_PER_S = 299792458.0
 H_PLANCK_J_S = 6.62607015e-34
 MANAKOV_FACTOR = 8.0 / 9.0
 # rad per step before the accuracy warning fires: the largest phase of a
-# step that still met the notch-error budget (see FiberParams)
+# step that still met the notch-error budget, calibrated without ASE or the
+# transmitter floor, which raise the phase read (0.1029 against 0.0921 rad
+# at 2.0 km; see FiberParams)
 NL_PHASE_STEP_LIMIT = 0.09
 QUANTUM_NF_DB = 10.0 * math.log10(2.0)
 # 0.1 nm OSNR reference bandwidth at the carrier. Keep the operation order:
@@ -91,10 +93,14 @@ class FiberParams:
     meets the full budget, and NL_PHASE_STEP_LIMIT is its largest phase per
     step (0.0921 rad) rounded down to 0.09 rad, so the engine warns when a
     step applies more phase than one whose notch error was measured within
-    the budget. p_ref moves by at most 0.0019 dB up to 2.0 km. A test
-    fails if the presets' samples/symbol and step move p_n by more than
-    0.05 dB over two spans, and a slow test if the default step breaks
-    the budget.
+    the budget. That phase was read without ASE or the transmitter floor;
+    with them the phase the guard reads is higher (0.1029 rad at 2.0 km,
+    +6 dBm, NF 7.5 dB), so a noisy unit trips the warning at a step whose
+    noiseless notch met the budget. At the default step the desk grid's
+    worst unit reads 0.0758 rad. p_ref moves by at most 0.0019 dB up to
+    2.0 km. A test fails if the presets' samples/symbol and step move p_n
+    by more than 0.05 dB over two spans, and a slow test if the default
+    step breaks the budget.
     """
 
     dispersion_D: float = 16.7      # ps/nm/km
@@ -104,6 +110,9 @@ class FiberParams:
     step_km: float = 1.4
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"fiber {f.name} must be finite, got {getattr(self, f.name)}")
         if min(self.dispersion_D, self.gamma, self.alpha_db_per_km) < 0:
             raise ValueError("fiber parameters must be non-negative")
         if self.span_length_km <= 0 or self.step_km <= 0:
@@ -222,8 +231,9 @@ def parallelism(units: int = 1) -> tuple[int, int]:
     the cores left to it, `usable_cores() // processes`, as FFT threads.
     Processes come first because the split step's FFTs scale worse across
     threads than across units: on a shared 2-core VM the 20-unit desk grid
-    took 282 s on one process with two FFT threads and 171-206 s on two
-    processes with one each."""
+    at the 1.4 km default step took 202-220 s on one process with two FFT
+    threads and 107-128 s on two processes with one each, in two
+    alternating runs of each."""
     cores = usable_cores()
     processes = min(cores, units)
     return processes, cores // processes

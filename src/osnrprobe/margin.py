@@ -5,7 +5,6 @@ remaining band to run at a higher SNR; the mapping follows from equating the
 Shannon capacities of the full and reduced bands.
 """
 
-import csv
 import math
 
 from .waveform import TxConfig
@@ -42,11 +41,3 @@ def margin_curve() -> list:
             penalty = 10.0 * math.log10(snr_prime) - 10.0 * math.log10(snr)
             rows.append((float(snr_db), float(bwd), penalty))
     return rows
-
-
-def save_margin_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["snr_db", "bwd_pert_hz", "penalty_db"])
-        for snr_db, bwd, penalty in rows:
-            writer.writerow([repr(snr_db), repr(bwd), repr(penalty)])

@@ -13,7 +13,6 @@ resolution, kernel order and notch fraction are module constants, not
 parameters.
 """
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -50,13 +49,6 @@ class PsdTrace:
     def total_power(self) -> float:
         """Integral of the trace, W."""
         return float(np.trapezoid(self.psd, self.freqs))
-
-    def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["freq_hz", "psd_w_per_hz"])
-            for f, p in zip(self.freqs, self.psd):
-                writer.writerow([repr(float(f)), repr(float(p))])
 
 
 def supergaussian_kernel(df: float) -> np.ndarray:

@@ -2,13 +2,12 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see one PASS line per
 criterion. The desk-scale end-to-end criterion needs the full dataset in
-data/desk_dataset.csv (about 1 min to regenerate with `osnrprobe dataset
---preset desk`) and fails when the file misses any desk scenario, unless
-OSNRPROBE_RUN_DESK=1 completes it in place first.
+data/desk_dataset.csv and fails, naming the missing work units, when the
+file misses any desk scenario; `osnrprobe dataset --preset desk --out
+data/desk_dataset.csv` regenerates it in about 1 min.
 """
 
 import math
-import os
 from pathlib import Path
 
 import numpy as np
@@ -244,16 +243,13 @@ class TestDeskScaleReproduction:
             have = {r.key for r in estimator.load_rows(DESK_DATASET)}
         missing = expected - have
 
-        if missing and os.environ.get("OSNRPROBE_RUN_DESK") == "1":
-            experiment.run_dataset(cfg, DESK_DATASET)
-        elif missing:
+        if missing:
             units = ", ".join(f"({p:+g} dBm, NF {nf:g} dB)"
                               for p, nf in sorted({(p, nf) for p, nf, _ in missing}))
             pytest.fail(
                 f"desk dataset lacks {len(missing)} of {len(expected)} scenarios, "
                 f"the (power, NF) units {units}; generate with `osnrprobe dataset "
-                "--preset desk --out data/desk_dataset.csv` (about 1 min) "
-                "or set OSNRPROBE_RUN_DESK=1")
+                "--preset desk --out data/desk_dataset.csv` (about 1 min)")
 
         dataset = Dataset(estimator.load_rows(DESK_DATASET))
         pooled, _ = estimator.cross_validate(dataset)

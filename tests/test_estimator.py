@@ -1,10 +1,13 @@
+import dataclasses
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from osnrprobe import cli
 from osnrprobe.estimator import (
     DELTA_GRID_DB,
     N_FOLDS,
@@ -21,6 +24,7 @@ from osnrprobe.estimator import (
     load_rows,
     predict_osnr,
     save_rows,
+    write_csv,
 )
 from osnrprobe.spectrum import ApsdReport
 
@@ -164,12 +168,16 @@ class TestEvaluate:
             evaluate(Dataset(rows), FitCoefficients(TRUE_K))
 
     def test_report_csv(self, tmp_path):
+        # eval --report writes one line per scored row through write_csv
         rows = synthetic_rows(n=10)
-        report = evaluate(Dataset(rows), FitCoefficients(TRUE_K))
+        save_rows(rows, tmp_path / "rows.csv")
+        FitCoefficients(TRUE_K).save(tmp_path / "coeffs.json")
         path = tmp_path / "report.csv"
-        report.save_csv(path)
-        header = path.read_text().splitlines()[0]
-        assert header == "truth_osnr_db,predicted_osnr_db,power_dbm,n_spans,nf_db"
+        assert cli.main(["eval", "--dataset", str(tmp_path / "rows.csv"),
+                         "--coeffs", str(tmp_path / "coeffs.json"), "--report", str(path)]) == 0
+        lines = path.read_text().splitlines()
+        assert lines[0] == "truth_osnr_db,predicted_osnr_db,power_dbm,n_spans,nf_db"
+        assert len(lines) == 1 + evaluate(Dataset(rows), FitCoefficients(TRUE_K)).n_rows
 
 
 class TestSplits:
@@ -206,6 +214,31 @@ class TestPersistence:
         orig = sorted(rows, key=lambda r: (r.launch_power_dbm, r.nf_db, r.n_spans))
         for a, b in zip(orig, back):
             assert a == b
+
+    def test_write_csv_writes_floats_at_full_precision(self, tmp_path):
+        # numpy floats as their Python float's repr, not "np.float64(...)";
+        # integers as plain digits
+        path = tmp_path / "out.csv"
+        write_csv(path, ("x", "n", "y"), [(np.float64(0.1), 3, 1 / 3),
+                                         (np.float32(0.1), np.int64(7), -2.0)])
+        assert path.read_bytes() == (b"x,n,y\r\n0.1,3,0.3333333333333333\r\n"
+                                     b"0.10000000149011612,7,-2.0\r\n")
+
+    def test_scenario_key_must_be_finite(self, tmp_path):
+        # a NaN key never equals itself, so two NaN-power rows of one NF and
+        # span count would pass the one-scenario-once check on load
+        row = synthetic_rows(n=1)[0]
+        for bad, match in ((dict(launch_power_dbm=math.nan), "not finite"),
+                           (dict(nf_db=math.inf), "not finite"),
+                           (dict(n_spans=0), "n_spans must be >= 1, got 0")):
+            with pytest.raises(ValueError, match=match):
+                dataclasses.replace(row, **bad)
+        path = tmp_path / "rows.csv"
+        save_rows([dataclasses.replace(row, launch_power_dbm=p) for p in (1.0, 2.0)], path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(lines[0] + "".join("nan" + line[3:] for line in lines[1:]))
+        with pytest.raises(ValueError, match="power=nan dBm .* not finite"):
+            load_rows(path)
 
     def test_rejects_foreign_csv(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -135,6 +135,28 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{re.escape(name)} must be >= 0, got {value}$"):
             load_doc(tmp_path, doc)
 
+    @pytest.mark.parametrize("key, value", [
+        ("gamma", math.nan), ("dispersion_D", math.inf), ("step_km", math.nan),
+        ("span_length_km", math.inf), ("alpha_db_per_km", -math.inf),
+    ])
+    def test_non_finite_fiber_value_fails_before_propagation(self, tmp_path, monkeypatch,
+                                                             key, value):
+        # json reads NaN and Infinity as numbers; the fiber refuses them by
+        # name before the run writes its config file or starts a span
+        def no_propagation(*args, **kwargs):
+            raise AssertionError("a span was propagated before the fiber check")
+
+        monkeypatch.setattr(experiment, "simulate_link", no_propagation)
+        doc = json.loads(tiny_config().to_json())
+        doc["fiber"][key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert ("NaN" if math.isnan(value) else "Infinity") in cfg_path.read_text()
+        out = tmp_path / "out" / "rows.csv"
+        with pytest.raises(ValueError, match=f"^fiber {key} must be finite, got {value}$"):
+            cli.main(["dataset", "--config", str(cfg_path), "--out", str(out)])
+        assert not out.parent.exists()
+
     def test_missing_file_is_not_json_text(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             ExperimentConfig.from_json(tmp_path / "missing.json")
@@ -187,31 +209,29 @@ class TestConfig:
 
 
 class TestRunDataset:
-    def test_grid_and_resume(self, tmp_path):
+    def test_grid_and_resume(self, tmp_path, capsys):
         cfg = tiny_config()
         out = tmp_path / "rows.csv"
-        messages = []
-        rows = run_dataset(cfg, out, log=messages.append)
+        rows = run_dataset(cfg, out)
         assert len(rows) == 2
-        assert any("107 steps/span, max nonlinear phase" in m for m in messages)
+        assert "107 steps/span, max nonlinear phase" in capsys.readouterr().out
         first_hash = file_hash(out)
 
-        messages = []
-        run_dataset(cfg, out, log=messages.append)
-        assert any("already complete" in m for m in messages)
+        run_dataset(cfg, out)
+        assert "already complete" in capsys.readouterr().out
         assert file_hash(out) == first_hash
 
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = tiny_config()
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_dataset(cfg, a, log=lambda *_: None)
-        run_dataset(cfg, b, log=lambda *_: None)
+        run_dataset(cfg, a)
+        run_dataset(cfg, b)
         assert file_hash(a) == file_hash(b)
 
     def test_partial_file_resumes_to_same_bytes(self, tmp_path):
         cfg = tiny_config(powers_dbm=(0.0, 2.0))
         full = tmp_path / "full.csv"
-        run_dataset(cfg, full, log=lambda *_: None)
+        run_dataset(cfg, full)
 
         # keep only one unit's rows, then resume; the rows come back in the
         # file's order whichever unit was kept
@@ -220,13 +240,13 @@ class TestRunDataset:
             partial = tmp_path / f"partial{kept_dbm}.csv"
             estimator.save_rows([r for r in rows if r.launch_power_dbm == kept_dbm], partial)
             Path(f"{partial}.config.json").write_text(cfg.to_json())
-            resumed = run_dataset(cfg, partial, log=lambda *_: None)
+            resumed = run_dataset(cfg, partial)
             assert file_hash(partial) == file_hash(full)
             assert resumed == estimator.load_rows(partial)
 
     def test_rows_carry_truth_and_features(self, tmp_path):
         cfg = tiny_config()
-        rows = run_dataset(cfg, tmp_path / "rows.csv", log=lambda *_: None)
+        rows = run_dataset(cfg, tmp_path / "rows.csv")
         by_spans = {r.n_spans: r for r in rows}
         assert by_spans[1].truth_osnr_db - by_spans[2].truth_osnr_db == pytest.approx(
             10 * math.log10(2), abs=1e-9)
@@ -262,7 +282,7 @@ class TestRunDataset:
         monkeypatch.setattr(experiment, "simulate_link", no_propagation)
         monkeypatch.setattr(experiment, "DELTA_GRID_DB", (-10.0, -5.0, 0.0, 5.0, 20.0))
         with pytest.raises(InfeasiblePerturbationError, match="K_A\\*delta_A"):
-            run_dataset(tiny_config(), tmp_path / "a.csv", log=lambda *_: None)
+            run_dataset(tiny_config(), tmp_path / "a.csv")
         assert not (tmp_path / "a.csv").exists()
 
 
@@ -415,24 +435,24 @@ class TestCli:
 
 
 class TestWorkers:
-    def test_process_pool_matches_serial(self, tmp_path, monkeypatch):
+    def test_process_pool_matches_serial(self, tmp_path, monkeypatch, capsys):
         # one core runs the two units in this process, two cores in two
         # processes with one FFT thread each; the bytes are the same
         cfg = tiny_config(powers_dbm=(0.0, 2.0))
         serial = tmp_path / "serial.csv"
         pooled = tmp_path / "pooled.csv"
-        messages = []
         monkeypatch.setattr(fiberlink, "usable_cores", lambda: 1)
-        run_dataset(cfg, serial, log=messages.append)
-        assert messages[0] == "work units: 2, processes: 1, FFT threads per process: 1"
-        messages = []
+        run_dataset(cfg, serial)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "work units: 2, processes: 1, FFT threads per process: 1"
         monkeypatch.setattr(fiberlink, "usable_cores", lambda: 2)
-        run_dataset(cfg, pooled, log=messages.append)
-        assert messages[0] == "work units: 2, processes: 2, FFT threads per process: 1"
+        run_dataset(cfg, pooled)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "work units: 2, processes: 2, FFT threads per process: 1"
         assert file_hash(serial) == file_hash(pooled)
-        assert sum(" done in " in m for m in messages) == 2  # each unit's wall time
+        assert sum(" done in " in line for line in lines) == 2  # each unit's wall time
 
-    def test_one_unit_runs_in_process(self, tmp_path, monkeypatch):
+    def test_one_unit_runs_in_process(self, tmp_path, monkeypatch, capsys):
         # a single pending unit, as in every benchmark operation or a resume
         # with one unit left, builds no process pool and takes every core
         # as FFT threads; an explicit fft_workers overrides the threads only
@@ -441,12 +461,12 @@ class TestWorkers:
 
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(fiberlink, "usable_cores", lambda: 2)
-        messages = []
-        run_dataset(tiny_config(), tmp_path / "a.csv", log=messages.append)
-        assert messages[0] == "work units: 1, processes: 1, FFT threads per process: 2"
-        messages = []
-        run_dataset(tiny_config(), tmp_path / "b.csv", fft_workers=1, log=messages.append)
-        assert messages[0] == "work units: 1, processes: 1, FFT threads per process: 1"
+        run_dataset(tiny_config(), tmp_path / "a.csv")
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == "work units: 1, processes: 1, FFT threads per process: 2"
+        run_dataset(tiny_config(), tmp_path / "b.csv", fft_workers=1)
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == "work units: 1, processes: 1, FFT threads per process: 1"
         assert file_hash(tmp_path / "a.csv") == file_hash(tmp_path / "b.csv")
 
     @pytest.mark.parametrize("cores, units, want", [
@@ -464,7 +484,7 @@ class TestResumeHygiene:
         # names it and leaves the file alone, before any synthesis
         cfg = tiny_config()
         out = tmp_path / "rows.csv"
-        run_dataset(cfg, out, log=lambda *_: None)
+        run_dataset(cfg, out)
         rows = estimator.load_rows(out)
         alien = estimator.FeatureRow(rows[0].p_ref_db, rows[0].p_n_db, 25.0,
                                      launch_power_dbm=9.0, n_spans=3, nf_db=5.0)
@@ -479,7 +499,7 @@ class TestResumeHygiene:
             estimator.save_rows(rows + [smuggled], out)
             edited = file_hash(out)
             with pytest.raises(ValueError, match=f"{re.escape(str(out))} holds .*{match}"):
-                run_dataset(cfg, out, log=lambda *_: None)
+                run_dataset(cfg, out)
             assert file_hash(out) == edited
 
     def test_csv_of_another_config_is_refused(self, tmp_path, monkeypatch):
@@ -488,7 +508,7 @@ class TestResumeHygiene:
         cfg = tiny_config()
         out = tmp_path / "rows.csv"
         config = tmp_path / "rows.csv.config.json"
-        run_dataset(cfg, out, log=lambda *_: None)
+        run_dataset(cfg, out)
         assert config.read_text() == cfg.to_json()
         first_hash = file_hash(out)
         reseeded = dataclasses.replace(cfg, seed=6)
@@ -499,16 +519,16 @@ class TestResumeHygiene:
         with monkeypatch.context() as m:
             m.setattr(experiment, "generate_reference", no_reference)
             with pytest.raises(ValueError, match="not written by this config"):
-                run_dataset(reseeded, out, log=lambda *_: None)
+                run_dataset(reseeded, out)
             config.unlink()
             with pytest.raises(ValueError, match="not written by this config"):
-                run_dataset(cfg, out, log=lambda *_: None)
+                run_dataset(cfg, out)
         assert file_hash(out) == first_hash
 
         # without the CSV it is a fresh run, whatever config sits beside it
         config.write_text(cfg.to_json())
         out.unlink()
-        rows = run_dataset(reseeded, out, log=lambda *_: None)
+        rows = run_dataset(reseeded, out)
         assert config.read_text() == reseeded.to_json()
         assert len(rows) == 2 and file_hash(out) != first_hash
 

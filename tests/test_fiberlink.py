@@ -294,6 +294,16 @@ class TestAnalyticOsnr:
         assert REFERENCE_BANDWIDTH_HZ == 12476484648.589794
 
 
+@pytest.mark.parametrize("key", ["dispersion_D", "gamma", "alpha_db_per_km",
+                                 "span_length_km", "step_km"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_fiber_refuses_non_finite_values(key, value):
+    # NaN passes every "< 0" check, and an infinite span or loss would fail
+    # only inside propagation
+    with pytest.raises(ValueError, match=f"^fiber {key} must be finite, got {value}$"):
+        FiberParams(**{key: value})
+
+
 class TestStepSchedule:
     def test_default_step_counts(self):
         # 38 steps of a 100 km span, 3 of the benchmark's 5 km span

@@ -3,12 +3,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from osnrprobe.margin import (
-    DEFAULT_PROBE_BANDWIDTHS_HZ,
-    margin_curve,
-    perturbed_snr,
-    save_margin_csv,
-)
+from osnrprobe import cli
+from osnrprobe.margin import DEFAULT_PROBE_BANDWIDTHS_HZ, margin_curve, perturbed_snr
 
 BAUD = 56.8e9
 
@@ -63,7 +59,7 @@ class TestMarginCurve:
 
     def test_csv_export(self, tmp_path):
         path = tmp_path / "margin.csv"
-        save_margin_csv(margin_curve(), path)
+        assert cli.main(["margin", "--out", str(path)]) == 0
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "snr_db,bwd_pert_hz,penalty_db"
         assert len(lines) == 1 + len(DEFAULT_PROBE_BANDWIDTHS_HZ) * 31

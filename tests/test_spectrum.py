@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.signal import welch
 
+from osnrprobe.estimator import write_csv
 from osnrprobe.field import SampledField
 from osnrprobe.fiberlink import FiberParams, LinkConfig, simulate_link
 from osnrprobe.spectrum import (
@@ -179,12 +180,15 @@ class TestTypes:
             PsdTrace(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
 
     def test_trace_csv(self, tmp_path):
+        # as `osnrprobe psd` writes it: the decimals read back to the trace
         trace = flat_trace(n=11)
         path = tmp_path / "trace.csv"
-        trace.save_csv(path)
+        write_csv(path, ("freq_hz", "psd_w_per_hz"), zip(trace.freqs, trace.psd))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "freq_hz,psd_w_per_hz"
         assert len(lines) == 12
+        back = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        np.testing.assert_array_equal(back, np.column_stack((trace.freqs, trace.psd)))
 
     def test_report_sanity_bound(self):
         with pytest.raises(ValueError, match="implausibly"):
