@@ -209,7 +209,10 @@ def run_dataset(cfg: ExperimentConfig, out_path, fft_workers: typing.Optional[in
     The pending units run in as many processes as `fiberlink.parallelism`
     gives for their count, in this process when that is one, each with that
     rule's FFT threads unless fft_workers sets them; the first line it
-    prints states both. No row depends on either.
+    prints states both. No row depends on either. A unit that raises ends
+    the run with its exception once the units the processes already hold
+    finish; the queued units are cancelled, and only the units saved before
+    keep their rows.
     """
     out_path = Path(out_path)
     config_path = out_path.with_name(out_path.name + ".config.json")
@@ -253,11 +256,16 @@ def run_dataset(cfg: ExperimentConfig, out_path, fft_workers: typing.Optional[in
             for ip, inf_ in units:
                 yield _run_unit(cfg, ip, inf_, ref, profiles, threads)
             return
-        with ProcessPoolExecutor(processes) as pool:
+        pool = ProcessPoolExecutor(processes)
+        try:
             futures = [pool.submit(_run_unit, cfg, ip, inf_, ref, profiles, threads)
                        for ip, inf_ in units]
             for fut in as_completed(futures):
                 yield fut.result()
+        finally:
+            # on a failure, the queued units are dropped instead of run and
+            # thrown away; the pool's context manager would wait for them
+            pool.shutdown(cancel_futures=True)
 
     started = time.monotonic()
     tmp = out_path.with_suffix(out_path.suffix + ".tmp")

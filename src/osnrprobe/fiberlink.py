@@ -19,8 +19,10 @@ while the nonlinear phase, which couples only the two polarizations of one
 field, is applied one row pair at a time through a preallocated workspace.
 Each field keeps its own ASE seed, so a field's samples are bit-identical
 whether it travels alone or in a stack. The memory cost is the stack
-and the linear factors. Five probes at 2 samples/symbol in complex64 take
-2.6 MB at desk size (N = 2^15) and about 21 MB at paper size (N = 2^18).
+and the linear factors: the launch draws one field at a time, no ASE draw
+outlives its EDFA, and the fields read back at a tap are views of the
+stack's rows. Five probes at 2 samples/symbol in complex64 take 2.6 MB at
+desk size (N = 2^15) and about 21 MB at paper size (N = 2^18).
 The factors, one complex64 array of N per distinct length between two
 nonlinear rotations, are built once per `propagate` call and held for it:
 on a 100 km span at 1.4 km steps there are 10, 2.6 MB at desk size and
@@ -367,9 +369,9 @@ def _spans(stack, sample_rate, link, ase_seeds, taps, workers):
         stack *= gain
         if link.nf_db is not None:
             for i, seed in enumerate(ase_seeds):
-                noise = np.random.default_rng(span_seed(seed, k)).standard_normal(
-                    (2, 2, stack.shape[1]))
-                _add_ase(stack[2 * i:2 * i + 2], noise, sigma)
+                # the draw is passed, not bound, so it is freed before the tap
+                _add_ase(stack[2 * i:2 * i + 2], np.random.default_rng(
+                    span_seed(seed, k)).standard_normal((2, 2, stack.shape[1])), sigma)
         if k + 1 in taps:
             yield k + 1, max_phi
 
@@ -390,15 +392,16 @@ def simulate_link(fields, link: LinkConfig, ase_seeds, taps, workers: Optional[i
     propagate it over `link` and yield (k, received, max_phi) after span k
     for every k in taps (0 is the launch, the rest in 1..link.n_spans; any
     other tap raises before the launch is yielded).
-    `received` reads the fields back one at a time as complex128
-    `SampledField`s from the live stack: consume it before the next tap.
-    An empty `fields` raises ValueError on the first next()."""
+    `received` reads the fields back one at a time as `SampledField`s whose
+    samples are read-only complex64 views of the live stack's rows, valid
+    until the generator resumes: consume them before the next tap. A field
+    that must outlive it is copied (`as_matrix`). An empty `fields` raises
+    ValueError on the first next()."""
     stack, sample_rate = _launch(fields, link, ase_seeds)
 
     def received():
         for i in range(0, len(stack), 2):
-            yield SampledField(stack[i].astype(complex), stack[i + 1].astype(complex),
-                               sample_rate)
+            yield SampledField(stack[i], stack[i + 1], sample_rate)
 
     spans = propagate(stack, sample_rate, link, ase_seeds, [k for k in taps if k], workers)
     if 0 in taps:
@@ -409,18 +412,28 @@ def simulate_link(fields, link: LinkConfig, ase_seeds, taps, workers: Optional[i
 
 def _launch(fields, link: LinkConfig, ase_seeds):
     """The complex64 launch stack of `simulate_link` and the fields' sample
-    rate. Only the stack outlives this call, not the last field drawn."""
+    rate. One field is alive at a time: each is released before the next is
+    drawn, and only the stack outlives this call. The loop binds the field
+    to its variable alone, because an enumerate or zip result tuple would
+    still hold it while the next one is drawn."""
     stack = None
-    for i, (fld, _) in enumerate(zip(fields, ase_seeds, strict=True)):
+    row = 0
+    for fld in fields:
         if stack is None:
             stack = np.empty((2 * len(ase_seeds), len(fld)), np.complex64)
             sample_rate = fld.sample_rate
-        stack[2 * i], stack[2 * i + 1] = fld.samples_x, fld.samples_y
+        if row == len(stack):
+            raise ValueError(f"ase_seeds ({len(ase_seeds)}) is shorter than fields")
+        stack[row], stack[row + 1] = fld.samples_x, fld.samples_y
         power = fld.total_power()
+        del fld
         if power > 0:
-            stack[2 * i:2 * i + 2] *= np.float32(math.sqrt(link.launch_power_w / power))
+            stack[row:row + 2] *= np.float32(math.sqrt(link.launch_power_w / power))
+        row += 2
     if stack is None:
         raise ValueError("simulate_link needs at least one field to launch")
+    if row < len(stack):
+        raise ValueError(f"fields ({row // 2}) is shorter than ase_seeds ({len(ase_seeds)})")
     return stack, sample_rate
 
 

@@ -78,9 +78,13 @@ def welch_psd(fld: SampledField, nperseg: int) -> tuple[np.ndarray, np.ndarray]:
     order, W/Hz, Hann window, 50% overlap, two-sided, no detrend.
 
     Each polarization's segments are windowed straight into one
-    (2, segments, nperseg) array, and one numpy FFT runs over it in place.
-    numpy's and scipy's FFTs give the same bits in complex128, so for a
-    complex128 field (every field the program measures) each row equals scipy's
+    (2, segments, nperseg) array, one numpy FFT runs over it in place, and
+    its real and imaginary parts are squared in place and summed into one
+    real array, so the segments are freed before the transposed copy.
+    The window multiply widens a complex64 field (every field read back
+    from the link) to complex128, so its estimate has the bits of its
+    complex128 copy's. numpy's and scipy's FFTs give the same bits in
+    complex128, so for a complex128 or complex64 field each row equals scipy's
     `signal.welch(samples, fs, window="hann", nperseg=nperseg,
     noverlap=nperseg // 2, detrend=False, return_onesided=False,
     scaling="density")` bit for bit. The segment mean runs over a
@@ -93,11 +97,14 @@ def welch_psd(fld: SampledField, nperseg: int) -> tuple[np.ndarray, np.ndarray]:
     window = _psd_window(nperseg, fld.sample_rate)
     dtype = np.result_type(fld.samples_x, fld.samples_y, window)
     segments = np.empty((2, n_seg, nperseg), dtype)
-    for row, samples in zip(segments, (fld.samples_x, fld.samples_y)):
+    for pol, samples in enumerate((fld.samples_x, fld.samples_y)):
         windows = np.lib.stride_tricks.sliding_window_view(samples, nperseg)
-        np.multiply(windows[::hop], window, out=row)
+        np.multiply(windows[::hop], window, out=segments[pol])
     np.fft.fft(segments, out=segments)
-    power = segments.real**2 + segments.imag**2
+    parts = segments.view(segments.real.dtype)  # re, im interleaved
+    np.square(parts, out=parts)
+    power = np.add(parts[..., 0::2], parts[..., 1::2])
+    del segments, parts
     pxx = np.ascontiguousarray(power.transpose(0, 2, 1)).mean(axis=-1)
     return np.fft.fftfreq(nperseg, 1 / fld.sample_rate), pxx
 
@@ -120,10 +127,8 @@ def estimate_psd(fld: SampledField) -> PsdTrace:
     while nperseg % 2 == 0 and 2 * fld.sample_rate / nperseg <= MAX_NATIVE_BIN_HZ:
         nperseg //= 2
     freqs, pxx = welch_psd(fld, nperseg)
-    psd = pxx[0] + pxx[1]
-    order = np.argsort(freqs)
-    freqs = freqs[order]
-    psd = psd[order]
+    freqs = np.fft.fftshift(freqs)
+    psd = np.fft.fftshift(pxx[0] + pxx[1])
     kernel = supergaussian_kernel(float(freqs[1] - freqs[0]))
     smoothed = np.convolve(psd, kernel, mode="same")
     return PsdTrace(freqs, np.maximum(smoothed, 0.0))

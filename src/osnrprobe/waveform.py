@@ -299,5 +299,6 @@ def add_tx_noise_floor(fld: SampledField, cfg: TxConfig, seed) -> SampledField:
     for part, bins in zip(in_band, (slice(0, k1), slice(k1, None))):
         part.real += draws[:, 0, bins]
         part.imag += draws[:, 1, bins]
+    del draws
     x, y = np.fft.ifft(spec, axis=1, out=spec)
     return SampledField(x, y, fld.sample_rate)

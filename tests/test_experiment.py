@@ -5,6 +5,9 @@ import json
 import math
 import re
 import shlex
+import sys
+import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -41,6 +44,20 @@ def tiny_config(**overrides):
 
 def file_hash(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# where _unit_or_fail leaves its marks; set by the test that uses it, and
+# carried into the pool's forked processes
+UNIT_MARKS = None
+
+
+def _unit_or_fail(cfg, ip, inf_, ref, profiles, fft_workers):
+    """Stand-in for experiment._run_unit: the first unit raises at once, any
+    other takes half a second and then marks that it ran."""
+    if ip == 0:
+        raise RuntimeError("unit 0 failed")
+    time.sleep(0.5)
+    (UNIT_MARKS / f"unit{ip}").touch()
 
 
 def load_doc(tmp_path, doc):
@@ -469,6 +486,21 @@ class TestWorkers:
         assert first == "work units: 1, processes: 1, FFT threads per process: 1"
         assert file_hash(tmp_path / "a.csv") == file_hash(tmp_path / "b.csv")
 
+    def test_failed_unit_cancels_queued_units(self, tmp_path, monkeypatch):
+        # the pool hands a unit to each of its 2 processes and queues 3 more
+        # (CPython's call queue); at least 6 of the other 11 units are
+        # dropped when the first one raises, instead of run and discarded
+        marks = tmp_path / "ran"
+        marks.mkdir()
+        monkeypatch.setattr(sys.modules[__name__], "UNIT_MARKS", marks)
+        monkeypatch.setattr(experiment, "_run_unit", _unit_or_fail)
+        monkeypatch.setattr(fiberlink, "usable_cores", lambda: 2)
+        cfg = tiny_config(powers_dbm=tuple(float(p) for p in range(12)))
+        with pytest.raises(RuntimeError, match="unit 0 failed"):
+            run_dataset(cfg, tmp_path / "rows.csv")
+        assert len(list(marks.iterdir())) <= 5
+        assert not (tmp_path / "rows.csv").exists()
+
     @pytest.mark.parametrize("cores, units, want", [
         (1, 20, (1, 1)), (2, 20, (2, 1)), (2, 1, (1, 2)), (4, 3, (3, 1)), (8, 3, (3, 2)),
     ])
@@ -531,6 +563,29 @@ class TestResumeHygiene:
         rows = run_dataset(reseeded, out)
         assert config.read_text() == reseeded.to_json()
         assert len(rows) == 2 and file_hash(out) != first_hash
+
+
+class TestWorkingSet:
+    def test_desk_unit_traced_peak(self):
+        # a desk +6 dBm unit at 5 km x 2 spans, as the benchmark runs it,
+        # holds its (10, 2^15) complex64 stack (2.6 MB), the span's linear
+        # factors and workspace (1.7 MB) and one OSA's segments and power
+        # (3.0 MB): 7.3 MB above the traced base. Keeping any 1 MB array
+        # more, such as a probe's spectrum or an ASE draw, crosses 8 MB
+        cfg = desk_preset()
+        cfg = dataclasses.replace(cfg, spans=(1, 2),
+                                  fiber=dataclasses.replace(cfg.fiber, span_length_km=5.0))
+        ref = generate_reference(cfg.tx)
+        profiles = [build_profile(ref, REGIONS, d) for d in DELTA_GRID_DB]
+        experiment._run_unit(cfg, 4, 3, ref, profiles, 1)  # fills the module caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            experiment._run_unit(cfg, 4, 3, ref, profiles, 1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert 2.6e6 < peak < 8.0e6
 
 
 class TestReproducibility:

@@ -87,6 +87,16 @@ class TestEstimatePsd:
         # estimate_psd picks this segment for this record
         assert np.array_equal(estimate_psd(fld).freqs, np.sort(freqs))
 
+        # simulate_link hands out complex64 views of its stack; the window
+        # multiply widens them, so their estimate has the bits of the
+        # widened copy's
+        narrow = SampledField(fld.samples_x.astype(np.complex64),
+                              fld.samples_y.astype(np.complex64), fs)
+        wide = SampledField(narrow.samples_x.astype(complex), narrow.samples_y.astype(complex), fs)
+        got, want = welch_psd(narrow, nperseg)[1], welch_psd(wide, nperseg)[1]
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(estimate_psd(narrow).psd, estimate_psd(wide).psd)
+
     def test_rejects_short_field(self):
         short = SampledField(np.zeros(4096, complex), np.zeros(4096, complex), 170.4e9)
         with pytest.raises(ValueError, match="too short"):
