@@ -195,22 +195,23 @@ def save_rows(rows: Sequence[FeatureRow], path) -> None:
 
 
 def load_rows(path) -> list:
-    """The rows of a dataset CSV. A scenario that appears twice is refused,
-    by name: fitting it would weight it twice, and save_rows never writes it."""
+    """The rows of a dataset CSV. A row that is not the header's length or
+    does not parse is refused by its line; a scenario that appears twice by
+    name, as fitting it would weight it twice and save_rows never writes it."""
     rows, seen = [], set()
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
+        reader = csv.reader(fh)
+        if tuple(next(reader, ())) != CSV_COLUMNS:
             raise ValueError(f"unexpected dataset columns in {path}")
-        for rec in reader:
-            row = FeatureRow(
-                p_ref_db=float(rec["p_ref_db"]),
-                p_n_db=tuple(float(rec[c]) for c in CSV_COLUMNS[5:]),
-                truth_osnr_db=float(rec["truth_osnr_db"]),
-                launch_power_dbm=float(rec["power_dbm"]),
-                n_spans=int(rec["n_spans"]),
-                nf_db=float(rec["nf_db"]),
-            )
+        for rec in filter(None, reader):  # a blank line is no row
+            if len(rec) != len(CSV_COLUMNS):
+                raise ValueError(f"{path} line {reader.line_num} has {len(rec)} fields; "
+                                 f"the header has {len(CSV_COLUMNS)}")
+            power, spans, nf, truth, p_ref, *p_n = rec
+            try:
+                row = FeatureRow(p_ref, tuple(p_n), truth, power, int(spans), nf)
+            except ValueError as exc:
+                raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
             if row.key in seen:
                 raise ValueError(f"{path} holds the scenario power={row.launch_power_dbm:+g} "
                                  f"dBm nf={row.nf_db:g} dB spans={row.n_spans} twice")

@@ -2,22 +2,23 @@
 
 A dataset run sweeps the (launch power, span count, noise figure) grid; for
 every scenario the five probe spectra are synthesized, propagated, and
-measured, producing one feature row. The reference waveform and the five
-probe profiles (one per boost of `estimator.DELTA_GRID_DB`, on the one
-probe geometry `waveform.REGIONS`) are built once per run, before
-any propagation. Scenarios sharing launch power and NF differ only in span
-count, so each (power, NF) work unit launches its five probes as one
-(10, N) stack through `fiberlink.simulate_link` once up to the largest span
-count, measuring every probe at each requested intermediate count.
-Per-probe, per-span ASE seeding makes this bit-identical to simulating
-each probe and span count separately.
+measured, producing one feature row. A (power, NF) work unit is a function
+of the config and its two grid indices: it crosses to a worker process as
+just those, and builds its own reference waveform and five probe profiles
+(one per boost of `estimator.DELTA_GRID_DB`, on the one probe geometry
+`waveform.REGIONS`) from the config's seeds, before its first split step.
+Scenarios sharing launch power and NF differ only in span count, so a unit
+launches its five probes as one (10, N) stack through
+`fiberlink.simulate_link` once up to the largest span count, measuring every
+probe at each requested intermediate count. Per-probe, per-span ASE seeding
+makes this bit-identical to simulating each probe and span count separately.
 """
 
 import json
 import os
 import time
 import typing
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, fields, asdict, is_dataclass
 from pathlib import Path
 
@@ -25,7 +26,6 @@ import numpy as np
 
 from . import estimator
 from .estimator import DELTA_GRID_DB, build_feature_row
-from .field import SampledField
 from .fiberlink import FiberParams, LinkConfig, analytic_osnr, parallelism, simulate_link
 from .spectrum import MIN_FIELD_SAMPLES, measure
 from .waveform import (REGIONS, TxConfig, add_tx_noise_floor, apply_perturbation,
@@ -169,8 +169,17 @@ def _chain_ase_seed(cfg: ExperimentConfig, ip: int, inf_: int, idelta: int) -> i
     return int(np.random.SeedSequence((cfg.seed, 0xACE, ip, inf_, idelta)).generate_state(1)[0])
 
 
-def _run_unit(cfg: ExperimentConfig, ip: int, inf_: int, ref: SampledField,
-              profiles: list, fft_workers: int):
+def _probes(cfg: ExperimentConfig, ip: int, inf_: int):
+    """The five probes of unit (ip, inf_). The profiles are built now, so a bad probe grid
+    fails before any propagation; only the generator holds the reference, freed at launch."""
+    ref = generate_reference(cfg.tx)
+    profiles = [build_profile(ref, REGIONS, delta_db) for delta_db in DELTA_GRID_DB]
+    return (add_tx_noise_floor(apply_perturbation(ref, profile), cfg.tx,
+                               _nfl_seed(cfg, ip, inf_, idelta))
+            for idelta, profile in enumerate(profiles))
+
+
+def _run_unit(cfg: ExperimentConfig, ip: int, inf_: int, fft_workers: int):
     """Simulate all probes of one (power, NF) pair as one stack; return its
     rows, the largest nonlinear phase of any split step (rad) and its wall
     time (s)."""
@@ -178,13 +187,10 @@ def _run_unit(cfg: ExperimentConfig, ip: int, inf_: int, ref: SampledField,
     power = cfg.powers_dbm[ip]
     nf = cfg.nf_dbs[inf_]
     link = LinkConfig(cfg.fiber, max(cfg.spans), power, nf)
-    probes = (add_tx_noise_floor(apply_perturbation(ref, profile), cfg.tx,
-                                 _nfl_seed(cfg, ip, inf_, idelta))
-              for idelta, profile in enumerate(profiles))
-    ase_seeds = [_chain_ase_seed(cfg, ip, inf_, idelta) for idelta in range(len(profiles))]
+    ase_seeds = [_chain_ase_seed(cfg, ip, inf_, idelta) for idelta in range(len(DELTA_GRID_DB))]
     reports = {spans: [] for spans in cfg.spans}
-    for k, received, max_phi in simulate_link(probes, link, ase_seeds, cfg.spans,
-                                              workers=fft_workers):
+    for k, received, max_phi in simulate_link(_probes(cfg, ip, inf_), link, ase_seeds,
+                                              cfg.spans, workers=fft_workers):
         for fld, delta_db in zip(received, DELTA_GRID_DB):
             reports[k].append(measure(fld, REGIONS, delta_db))
     rows = []
@@ -209,10 +215,12 @@ def run_dataset(cfg: ExperimentConfig, out_path, fft_workers: typing.Optional[in
     The pending units run in as many processes as `fiberlink.parallelism`
     gives for their count, in this process when that is one, each with that
     rule's FFT threads unless fft_workers sets them; the first line it
-    prints states both. No row depends on either. A unit that raises ends
-    the run with its exception once the units the processes already hold
-    finish; the queued units are cancelled, and only the units saved before
-    keep their rows.
+    prints states both. No row depends on either. A unit builds its own
+    reference and probes from the config's seeds, so it crosses to its
+    process as the config and its two grid indices. A process gets its next
+    unit only when its last one finishes: a unit that raises ends the run
+    with its exception once the running units finish, no other starts, and
+    only the units saved before keep their rows.
     """
     out_path = Path(out_path)
     config_path = out_path.with_name(out_path.name + ".config.json")
@@ -244,8 +252,6 @@ def run_dataset(cfg: ExperimentConfig, out_path, fft_workers: typing.Optional[in
           f"FFT threads per process: {threads}")
     if rows_by_key:
         print(f"resuming: {len(rows_by_key)} rows already in {out_path}")
-    ref = generate_reference(cfg.tx)
-    profiles = [build_profile(ref, REGIONS, delta_db) for delta_db in DELTA_GRID_DB]
     if not out_path.exists():
         out_path.parent.mkdir(parents=True, exist_ok=True)
         config_path.write_text(config)
@@ -254,18 +260,19 @@ def run_dataset(cfg: ExperimentConfig, out_path, fft_workers: typing.Optional[in
         """_run_unit's result per unit, in the order the units finish."""
         if processes == 1:
             for ip, inf_ in units:
-                yield _run_unit(cfg, ip, inf_, ref, profiles, threads)
+                yield _run_unit(cfg, ip, inf_, threads)
             return
-        pool = ProcessPoolExecutor(processes)
-        try:
-            futures = [pool.submit(_run_unit, cfg, ip, inf_, ref, profiles, threads)
-                       for ip, inf_ in units]
-            for fut in as_completed(futures):
-                yield fut.result()
-        finally:
-            # on a failure, the queued units are dropped instead of run and
-            # thrown away; the pool's context manager would wait for them
-            pool.shutdown(cancel_futures=True)
+        with ProcessPoolExecutor(processes) as pool:
+            running = {pool.submit(_run_unit, cfg, ip, inf_, threads)
+                       for ip, inf_ in units[:processes]}
+            pending = units[processes:]
+            while running:
+                done, running = wait(running, return_when=FIRST_COMPLETED)
+                for fut in done:
+                    result = fut.result()  # a failed unit starts no other
+                    if pending:
+                        running.add(pool.submit(_run_unit, cfg, *pending.pop(0), threads))
+                    yield result
 
     started = time.monotonic()
     tmp = out_path.with_suffix(out_path.suffix + ".tmp")

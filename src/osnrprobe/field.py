@@ -87,15 +87,6 @@ class SampledField:
         fld._spectral = True
         return fld
 
-    def __reduce__(self):
-        # Pickled as the call that built it: a copy sent to a worker process
-        # is read-only too, has the same bits on the side it was built from,
-        # and the side computed from that stays behind.
-        if self._spectral:
-            return type(self).from_spectrum, (self.spectrum, self.sample_rate)
-        return type(self), (self.samples_x, self.samples_y, self.sample_rate,
-                            self.center_freq)
-
     def __len__(self) -> int:
         return (self.spectrum if self._spectral else self._samples[0]).shape[-1]
 

@@ -245,6 +245,16 @@ class TestPersistence:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError, match="columns"):
             load_rows(path)
+        # a row of another length, or with a value that is no number, is
+        # refused by its line, not truncated or padded with None
+        save_rows(synthetic_rows(n=2), path)
+        header, first, second = path.read_text().splitlines()
+        for bad, match in ((second + ",1.0", "line 3 has 11 fields; the header has 10"),
+                           (second.rsplit(",", 1)[0], "line 3 has 9 fields; the header has 10"),
+                           (second.replace(",", ",x", 1), "line 3: .*'x")):
+            path.write_text("\n".join((header, first, bad)) + "\n")
+            with pytest.raises(ValueError, match=f"{re.escape(str(path))} {match}"):
+                load_rows(path)
 
     def test_coefficients_json_roundtrip(self, tmp_path):
         coeffs = FitCoefficients(TRUE_K)

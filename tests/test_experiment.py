@@ -3,12 +3,14 @@ import dataclasses
 import hashlib
 import json
 import math
+import pickle
 import re
 import shlex
 import sys
 import time
 import tracemalloc
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +25,7 @@ from osnrprobe.experiment import (
     run_dataset,
 )
 from osnrprobe.fiberlink import FiberParams
-from osnrprobe.waveform import (REGIONS, InfeasiblePerturbationError, TxConfig, build_profile,
-                                generate_reference)
+from osnrprobe.waveform import InfeasiblePerturbationError, TxConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 DESK_DATASET = Path(__file__).resolve().parents[1] / "data" / "desk_dataset.csv"
@@ -51,7 +52,7 @@ def file_hash(path):
 UNIT_MARKS = None
 
 
-def _unit_or_fail(cfg, ip, inf_, ref, profiles, fft_workers):
+def _unit_or_fail(cfg, ip, inf_, fft_workers):
     """Stand-in for experiment._run_unit: the first unit raises at once, any
     other takes half a second and then marks that it ran."""
     if ip == 0:
@@ -279,27 +280,32 @@ class TestRunDataset:
         cfg = desk_preset()
         assert cfg.fiber == FiberParams()
         ip, inf_ = cfg.powers_dbm.index(max(cfg.powers_dbm)), cfg.nf_dbs.index(max(cfg.nf_dbs))
-        ref = generate_reference(cfg.tx)
-        profiles = [build_profile(ref, REGIONS, delta_db) for delta_db in DELTA_GRID_DB]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            _, max_phi, _ = experiment._run_unit(cfg, ip, inf_, ref, profiles,
-                                                 fiberlink.parallelism()[1])
+            _, max_phi, _ = experiment._run_unit(cfg, ip, inf_, fiberlink.parallelism()[1])
         readme = " ".join(README.read_text().split())
         claim = re.search(r"largest nonlinear phase of a step in the desk grid is (\S+) rad", readme)
         assert claim, "README no longer states the desk grid's largest phase"
         assert round(max_phi, 3) == float(claim[1])
         assert max_phi < fiberlink.NL_PHASE_STEP_LIMIT
 
-    def test_bad_probe_grid_fails_before_propagation(self, tmp_path, monkeypatch):
-        # a +20 dB boost needs K_A < 0.01; the probe geometry carries ~0.035
+    @pytest.mark.parametrize("cores, powers", [
+        pytest.param(1, (2.0,), id="in-process"), pytest.param(2, (0.0, 2.0), id="pool"),
+    ])
+    def test_bad_probe_grid_fails_before_propagation(self, tmp_path, monkeypatch, capsys,
+                                                     cores, powers):
+        # a +20 dB boost needs K_A < 0.01; the probe geometry carries ~0.035.
+        # Each unit builds its profiles before its first span, whether it
+        # runs in this process or in a pool's (the fork carries the patches)
         def no_propagation(*args, **kwargs):
             raise AssertionError("a span was propagated before the config error")
 
         monkeypatch.setattr(experiment, "simulate_link", no_propagation)
         monkeypatch.setattr(experiment, "DELTA_GRID_DB", (-10.0, -5.0, 0.0, 5.0, 20.0))
+        monkeypatch.setattr(fiberlink, "usable_cores", lambda: cores)
         with pytest.raises(InfeasiblePerturbationError, match="K_A\\*delta_A"):
-            run_dataset(tiny_config(), tmp_path / "a.csv")
+            run_dataset(tiny_config(powers_dbm=powers), tmp_path / "a.csv")
+        assert f"processes: {cores}," in capsys.readouterr().out
         assert not (tmp_path / "a.csv").exists()
 
 
@@ -454,7 +460,17 @@ class TestCli:
 class TestWorkers:
     def test_process_pool_matches_serial(self, tmp_path, monkeypatch, capsys):
         # one core runs the two units in this process, two cores in two
-        # processes with one FFT thread each; the bytes are the same
+        # processes with one FFT thread each; the bytes are the same. A unit
+        # crosses to its process as the config and its indices: no field,
+        # and nothing near the 0.5 MB of this config's reference spectrum
+        submitted = []
+        real_submit = ProcessPoolExecutor.submit
+
+        def recording_submit(pool, fn, *args, **kwargs):
+            submitted.append(pickle.dumps((fn, args, kwargs)))
+            return real_submit(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", recording_submit)
         cfg = tiny_config(powers_dbm=(0.0, 2.0))
         serial = tmp_path / "serial.csv"
         pooled = tmp_path / "pooled.csv"
@@ -468,6 +484,9 @@ class TestWorkers:
         assert lines[0] == "work units: 2, processes: 2, FFT threads per process: 1"
         assert file_hash(serial) == file_hash(pooled)
         assert sum(" done in " in line for line in lines) == 2  # each unit's wall time
+        assert len(submitted) == 2
+        for blob in submitted:
+            assert len(blob) < 4096 and b"SampledField" not in blob
 
     def test_one_unit_runs_in_process(self, tmp_path, monkeypatch, capsys):
         # a single pending unit, as in every benchmark operation or a resume
@@ -486,10 +505,10 @@ class TestWorkers:
         assert first == "work units: 1, processes: 1, FFT threads per process: 1"
         assert file_hash(tmp_path / "a.csv") == file_hash(tmp_path / "b.csv")
 
-    def test_failed_unit_cancels_queued_units(self, tmp_path, monkeypatch):
-        # the pool hands a unit to each of its 2 processes and queues 3 more
-        # (CPython's call queue); at least 6 of the other 11 units are
-        # dropped when the first one raises, instead of run and discarded
+    def test_failed_unit_starts_no_other_unit(self, tmp_path, monkeypatch):
+        # each of the 2 processes holds one unit and gets the next only when
+        # it finishes; when the first unit raises, only the one unit already
+        # running in the other process runs, and none of the other 10 starts
         marks = tmp_path / "ran"
         marks.mkdir()
         monkeypatch.setattr(sys.modules[__name__], "UNIT_MARKS", marks)
@@ -498,7 +517,7 @@ class TestWorkers:
         cfg = tiny_config(powers_dbm=tuple(float(p) for p in range(12)))
         with pytest.raises(RuntimeError, match="unit 0 failed"):
             run_dataset(cfg, tmp_path / "rows.csv")
-        assert len(list(marks.iterdir())) <= 5
+        assert len(list(marks.iterdir())) <= 1
         assert not (tmp_path / "rows.csv").exists()
 
     @pytest.mark.parametrize("cores, units, want", [
@@ -571,17 +590,16 @@ class TestWorkingSet:
         # holds its (10, 2^15) complex64 stack (2.6 MB), the span's linear
         # factors and workspace (1.7 MB) and one OSA's segments and power
         # (3.0 MB): 7.3 MB above the traced base. Keeping any 1 MB array
-        # more, such as a probe's spectrum or an ASE draw, crosses 8 MB
+        # more, such as the reference the unit synthesises, a probe's
+        # spectrum or an ASE draw, crosses 8 MB
         cfg = desk_preset()
         cfg = dataclasses.replace(cfg, spans=(1, 2),
                                   fiber=dataclasses.replace(cfg.fiber, span_length_km=5.0))
-        ref = generate_reference(cfg.tx)
-        profiles = [build_profile(ref, REGIONS, d) for d in DELTA_GRID_DB]
-        experiment._run_unit(cfg, 4, 3, ref, profiles, 1)  # fills the module caches
+        experiment._run_unit(cfg, 4, 3, 1)  # fills the module caches
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            experiment._run_unit(cfg, 4, 3, ref, profiles, 1)
+            experiment._run_unit(cfg, 4, 3, 1)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -595,9 +613,7 @@ class TestReproducibility:
         # its span list, so this is the span-1 row of the committed file
         cfg = dataclasses.replace(desk_preset(), spans=(1,))
         assert (cfg.powers_dbm[4], cfg.nf_dbs[3]) == (6.0, 7.5)
-        ref = generate_reference(cfg.tx)
-        profiles = [build_profile(ref, REGIONS, d) for d in DELTA_GRID_DB]
-        rows, _, _ = experiment._run_unit(cfg, 4, 3, ref, profiles, fft_workers=1)
+        rows, _, _ = experiment._run_unit(cfg, 4, 3, fft_workers=1)
         estimator.save_rows(rows, tmp_path / "row.csv")
         header, row = (tmp_path / "row.csv").read_text().splitlines()
         committed = DESK_DATASET.read_text().splitlines()

@@ -1,5 +1,3 @@
-import pickle
-
 import numpy as np
 import pytest
 
@@ -32,16 +30,6 @@ def test_rejects_non_finite_power():
     x[0] = np.inf
     with pytest.raises(ValueError, match="finite"):
         SampledField(x, np.zeros(8, complex), 1e9)
-
-
-def test_pickled_copy_is_read_only_and_leaves_the_spectrum_behind():
-    rng = np.random.default_rng(4)
-    fld = SampledField(rng.standard_normal(16) + 0j, rng.standard_normal(16) + 0j, 1e9)
-    assert fld.spectrum.shape == (2, 16)
-    copy = pickle.loads(pickle.dumps(fld))
-    assert "spectrum" not in vars(copy)
-    assert np.array_equal(copy.samples_x, fld.samples_x)
-    assert not copy.samples_x.flags.writeable and not copy.samples_y.flags.writeable
 
 
 def random_spectrum(n=16, seed=5):
@@ -99,14 +87,3 @@ def test_from_spectrum_refuses_other_shapes():
         SampledField.from_spectrum(random_spectrum()[0], 1e9)
     with pytest.raises(ValueError, match=r"\(2, N\)"):
         SampledField.from_spectrum(np.zeros((3, 8), complex), 1e9)
-
-
-def test_pickled_spectrum_built_copy_keeps_the_spectrum_bits():
-    fld = SampledField.from_spectrum(random_spectrum(), 1e9)
-    fld.samples_x  # computed here, left behind by the copy
-    copy = pickle.loads(pickle.dumps(fld))
-    assert "_samples" not in vars(copy)
-    assert np.array_equal(copy.spectrum, fld.spectrum)
-    assert not copy.spectrum.flags.writeable
-    assert copy.sample_rate == fld.sample_rate and len(copy) == len(fld)
-    assert np.array_equal(copy.samples_x, fld.samples_x)
